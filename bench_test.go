@@ -175,23 +175,15 @@ func BenchmarkFig14Restore(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationIncrementalBenefit measures the centralized greedy
-// with incremental benefit maintenance (the shipped configuration).
+// with incremental benefit maintenance (the shipped engine). Its
+// full-rescan counterpart is the test oracle in internal/core:
+// BenchmarkDeployAblation/centralized-rescan.
 func BenchmarkAblationIncrementalBenefit(b *testing.B) {
-	benchCentralized(b, core.Centralized{})
-}
-
-// BenchmarkAblationFullRescan measures the same algorithm recomputing
-// every candidate benefit at every step. Same placements, more work.
-func BenchmarkAblationFullRescan(b *testing.B) {
-	benchCentralized(b, core.Centralized{FullRescan: true})
-}
-
-func benchCentralized(b *testing.B, meth core.Centralized) {
 	cfg := benchCfg()
 	var placed int
 	for i := 0; i < b.N; i++ {
 		m := cfg.NewMap(3, 0)
-		res := meth.Deploy(m, cfg.DeployRNG(0), core.Options{})
+		res := core.Centralized{}.Deploy(m, cfg.DeployRNG(0), core.Options{})
 		placed = res.NumPlaced()
 	}
 	b.ReportMetric(float64(placed), "placed")

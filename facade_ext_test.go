@@ -136,3 +136,37 @@ func TestSetKDynamicRetuning(t *testing.T) {
 		t.Error("SetK(0) should error")
 	}
 }
+
+// TestDeployLargeK: K is any positive integer, including requirements
+// past the coverage store's uint8 page range, for construction, Deploy
+// and SetK alike.
+func TestDeployLargeK(t *testing.T) {
+	for _, method := range []string{"grid-small", "voronoi-small", "centralized"} {
+		d, err := NewDeployment(Params{FieldSide: 10, K: 300, Rs: 4, NumPoints: 40, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Deploy(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.FullyCovered() || d.Coverage(300) != 1 {
+			t.Fatalf("%s: K=300 deploy left the field under-covered (%.3f)", method, d.Coverage(300))
+		}
+		if rep.Placed < 300 {
+			t.Fatalf("%s: placed %d sensors, 300-coverage needs at least 300", method, rep.Placed)
+		}
+		if err := d.SetK(301); err != nil {
+			t.Fatal(err)
+		}
+		if d.FullyCovered() {
+			t.Fatalf("%s: raising K to 301 should expose deficits", method)
+		}
+		if _, err := d.Deploy(method); err != nil {
+			t.Fatal(err)
+		}
+		if d.Coverage(301) != 1 {
+			t.Fatalf("%s: K=301 densification left the field under-covered", method)
+		}
+	}
+}

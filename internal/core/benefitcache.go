@@ -17,28 +17,19 @@ var (
 
 // benefitCache maintains, for every sample point, the benefit (Eq. 1) a
 // new sensor of radius rs placed there would have against the current
-// round-start snapshot — the distributed extension of the incremental
-// maintenance Centralized.deployIncremental has always had (DESIGN.md §8).
+// round-start snapshot — VoronoiDECOR's incremental benefit state
+// (DESIGN.md §8). Invariant, restored after every applyPlacement call:
 //
-// Invariant, restored after every applyPlacement call:
-//
-//	benefit[i] = Σ_{j ∈ ball(i, rs), visible(i, j)} max(k − snap[j], 0)
+//	benefit[i] = Σ_{j ∈ ball(i, rs)} max(k − snap[j], 0)
 //
 // where snap mirrors the map's coverage counts (the distributed rounds
 // evaluate a round-start snapshot, and all mutations during a deployment
-// flow through applyPlacement) and visible() encodes the scheme's
-// knowledge model:
-//
-//   - Grid (cellOf != nil): a leader only knows points of the cell under
-//     evaluation, and every candidate is evaluated against its own cell —
-//     so visibility is cellOf[i] == cellOf[j], a property of the candidate
-//     alone, and the cached value is exact.
-//   - Voronoi (cellOf == nil): a node knows all points within rc of
-//     itself, so visibility depends on the evaluating node. The cache
-//     stores the unrestricted benefit, which equals the perceived benefit
-//     whenever the candidate's whole ball lies inside the node's
-//     knowledge disk (d(candidate, node) ≤ rc − rs); the rare boundary
-//     candidates fall back to an exact restricted evaluation.
+// flow through applyPlacement). A Voronoi node knows all points within
+// rc of itself, so the perceived benefit depends on the evaluating node:
+// the cached unrestricted benefit equals it whenever the candidate's
+// whole ball lies inside the node's knowledge disk (d(candidate, node)
+// ≤ rc − rs), and the rare boundary candidates fall back to an exact
+// restricted evaluation (bestOwned).
 //
 // One placement's delta touches O(ball²) cached entries via the
 // precomputed point neighborhoods instead of rescanning every candidate's
@@ -50,14 +41,11 @@ type benefitCache struct {
 	nb      *index.Neighborhoods
 	snap    []int
 	benefit []int
-	cellOf  []int // nil for the Voronoi (unrestricted) cache
 	deltas  int64 // benefit entries touched; flushed to obs at Deploy end
 }
 
-// newBenefitCache builds the cache for new-sensor radius rs. cellOf maps
-// each sample point to its grid cell for the cell-restricted variant, or
-// is nil for the unrestricted one.
-func newBenefitCache(m *coverage.Map, rs float64, cellOf []int) *benefitCache {
+// newBenefitCache builds the cache for new-sensor radius rs.
+func newBenefitCache(m *coverage.Map, rs float64) *benefitCache {
 	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
 	defer span.End()
 	n := m.NumPoints()
@@ -68,23 +56,11 @@ func newBenefitCache(m *coverage.Map, rs float64, cellOf []int) *benefitCache {
 		nb:      m.PointNeighborhoods(rs),
 		snap:    m.CountsInto(nil),
 		benefit: make([]int, n),
-		cellOf:  cellOf,
 	}
 	for j := 0; j < n; j++ {
-		d := c.k - c.snap[j]
-		if d <= 0 {
-			continue
-		}
-		if cellOf == nil {
+		if d := c.k - c.snap[j]; d > 0 {
 			for _, i := range c.nb.At(j) {
 				c.benefit[i] += d
-			}
-		} else {
-			cj := cellOf[j]
-			for _, i := range c.nb.At(j) {
-				if cellOf[i] == cj {
-					c.benefit[i] += d
-				}
 			}
 		}
 	}
@@ -100,21 +76,11 @@ func (c *benefitCache) applyPlacement(ptIdx int) {
 		j := int(jj)
 		if c.snap[j] < c.k {
 			// The point's deficit shrinks by one, so every candidate
-			// whose (visible) ball contains it loses one benefit.
-			if c.cellOf == nil {
-				for _, i := range c.nb.At(j) {
-					c.benefit[i]--
-				}
-				c.deltas += int64(len(c.nb.At(j)))
-			} else {
-				cj := c.cellOf[j]
-				for _, i := range c.nb.At(j) {
-					if c.cellOf[i] == cj {
-						c.benefit[i]--
-						c.deltas++
-					}
-				}
+			// whose ball contains it loses one benefit.
+			for _, i := range c.nb.At(j) {
+				c.benefit[i]--
 			}
+			c.deltas += int64(len(c.nb.At(j)))
 		}
 		c.snap[j]++
 	}
@@ -127,26 +93,6 @@ func (c *benefitCache) flush() {
 		obsCacheDeltas.Add(c.deltas)
 		c.deltas = 0
 	}
-}
-
-// best returns the deficient candidate with maximum cached benefit, ties
-// broken by lowest point index — the cached equivalent of
-// bestCandidateRadius under a cell-local perceive. candidates must be
-// sorted ascending (the grid's per-cell lists are).
-func (c *benefitCache) best(candidates []int) (idx, benefit int, ok bool) {
-	bestV, bestIdx := 0, -1
-	for _, i := range candidates {
-		if c.snap[i] >= c.k {
-			continue
-		}
-		if b := c.benefit[i]; b > bestV {
-			bestV, bestIdx = b, i
-		}
-	}
-	if bestIdx < 0 {
-		return 0, 0, false
-	}
-	return bestIdx, bestV, true
 }
 
 // bestOwned returns the deficient point owned by Voronoi node id at

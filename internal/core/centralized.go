@@ -14,20 +14,14 @@ import (
 // than DECOR. However, having global knowledge of the field is not
 // possible in many cases" (§4).
 type Centralized struct {
-	// FullRescan disables the incremental benefit maintenance and
-	// recomputes every candidate's benefit from scratch at each step.
-	// Results are identical; this exists for the ablation benchmark in
-	// DESIGN.md §5.
-	FullRescan bool
 	// NewRs overrides the sensing radius of the sensors this run
 	// deploys (0 = the map's default), supporting the paper's
 	// heterogeneous setting where new hardware may out-range the
 	// original deployment.
 	NewRs float64
-	// Workers parallelizes the one-time benefit build of the tiled path
-	// (shard semantics: non-positive = GOMAXPROCS). Only consulted on
-	// maps with tiled coverage storage; the result is worker-count-
-	// independent either way.
+	// Workers parallelizes the one-time benefit build: 0 and 1 run
+	// inline, > 1 uses that many workers, < 0 uses GOMAXPROCS (the
+	// GridDECOR.Workers rule). The result is worker-count-independent.
 	Workers int
 }
 
@@ -47,124 +41,13 @@ func (c Centralized) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	validateDeployInputs(m, r)
 	res := Result{Method: c.Name(), NodeMessages: map[int]int{}, Cells: 1}
 	_, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
-	switch {
-	case c.FullRescan:
-		c.deployRescan(m, opt, &res)
-	case m.Tiles() != nil:
-		c.deployTiled(m, opt, &res)
-	default:
-		c.deployIncremental(m, opt, &res)
-	}
+	c.deployTiled(m, opt, &res)
 	res.Rounds = 1
 	if depSpan != nil {
 		depSpan.SetAttr(fmt.Sprintf("method=%s placed=%d", res.Method, len(res.Placed)))
 		depSpan.End()
 	}
 	return res
-}
-
-// deployRescan is the straightforward O(placements · N · ball) variant.
-func (c Centralized) deployRescan(m *coverage.Map, opt Options, res *Result) {
-	id := nextSensorID(m)
-	newRs := c.newRadius(m)
-	for !m.FullyCovered() {
-		if len(res.Placed) >= opt.maxPlacements() {
-			res.Capped = true
-			return
-		}
-		if opt.interrupted() {
-			res.Interrupted = true
-			return
-		}
-		// Select the deficient candidate with maximum benefit for the
-		// new sensor's footprint, lowest index on ties.
-		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
-		bestIdx, best := -1, 0
-		for i := 0; i < m.NumPoints(); i++ {
-			if m.Count(i) >= m.K() {
-				continue
-			}
-			if b := m.BenefitRadius(m.Point(i), newRs); b > best {
-				best, bestIdx = b, i
-			}
-		}
-		scoreSpan.End()
-		if bestIdx < 0 {
-			return // unreachable: a deficient point always benefits itself
-		}
-		p := m.Point(bestIdx)
-		m.AddSensorRadius(id, p, newRs)
-		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
-		id++
-	}
-}
-
-// deployIncremental maintains a benefit value per candidate point and
-// updates only the neighborhood of each placement (DESIGN.md §5), making
-// one placement O(points-in-disk²) instead of O(N · points-in-disk).
-func (c Centralized) deployIncremental(m *coverage.Map, opt Options, res *Result) {
-	n := m.NumPoints()
-	rs := c.newRadius(m)
-	// Candidates sit on sample points, so all three ball queries of the
-	// incremental scheme (initial accumulation, affected set, delta
-	// update) walk the precomputed within-rs adjacency.
-	nb := m.PointNeighborhoods(rs)
-	benefit := make([]int, n)
-	for j := 0; j < n; j++ {
-		if d := m.Deficit(j); d > 0 {
-			for _, i := range nb.At(j) {
-				benefit[i] += d
-			}
-		}
-	}
-	id := nextSensorID(m)
-	var affected []int32
-	for !m.FullyCovered() {
-		if len(res.Placed) >= opt.maxPlacements() {
-			res.Capped = true
-			return
-		}
-		if opt.interrupted() {
-			res.Interrupted = true
-			return
-		}
-		// Select the deficient candidate with max benefit, lowest index
-		// on ties — identical criterion to bestCandidate.
-		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
-		bestIdx, best := -1, 0
-		for i := 0; i < n; i++ {
-			if m.Count(i) >= m.K() {
-				continue
-			}
-			if benefit[i] > best {
-				best, bestIdx = benefit[i], i
-			}
-		}
-		scoreSpan.End()
-		if bestIdx < 0 {
-			return
-		}
-		p := m.Point(bestIdx)
-		// Points whose deficit will shrink by this placement.
-		affected = affected[:0]
-		for _, j := range nb.At(bestIdx) {
-			if m.Deficit(int(j)) > 0 {
-				affected = append(affected, j)
-			}
-		}
-		if rs == m.Rs() {
-			m.AddSensorAtPoint(id, bestIdx)
-		} else {
-			m.AddSensorRadius(id, p, rs)
-		}
-		for _, j := range affected {
-			for _, i := range nb.At(int(j)) {
-				benefit[i]--
-			}
-		}
-		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
-		id++
-	}
 }
 
 // RandomPlacement is the paper's second baseline: uniform random

@@ -25,7 +25,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"decor/internal/coverage"
 	"decor/internal/geom"
@@ -140,34 +139,6 @@ func nextSensorID(m *coverage.Map) int {
 	return ids[len(ids)-1] + 1
 }
 
-// bestCandidate returns the deficient candidate with the highest
-// perceived benefit, ties broken by lowest point index for determinism.
-// candidates must be sorted ascending; perceived returns a point's
-// believed coverage count (negative = unknown, skipped inside benefit).
-// ok is false when no candidate has positive benefit.
-func bestCandidate(m *coverage.Map, candidates []int, perceived func(i int) int) (idx int, benefit int, ok bool) {
-	return bestCandidateRadius(m, m.Rs(), candidates, perceived)
-}
-
-// bestCandidateRadius is bestCandidate for a new-sensor radius that may
-// differ from the map default (heterogeneous hardware).
-func bestCandidateRadius(m *coverage.Map, rs float64, candidates []int, perceived func(i int) int) (idx int, benefit int, ok bool) {
-	best, bestIdx := 0, -1
-	for _, c := range candidates {
-		if kp := perceived(c); kp < 0 || kp >= m.K() {
-			continue // not deficient under this node's knowledge
-		}
-		b := m.BenefitWithRadius(m.Point(c), rs, perceived)
-		if b > best {
-			best, bestIdx = b, c
-		}
-	}
-	if bestIdx < 0 {
-		return 0, 0, false
-	}
-	return bestIdx, best, true
-}
-
 // validateDeployInputs panics on nil inputs — programmer errors shared by
 // every method.
 func validateDeployInputs(m *coverage.Map, r *rng.RNG) {
@@ -217,15 +188,4 @@ func AllMethodNames() []string {
 		"voronoi-small", "voronoi-big",
 		"centralized", "random",
 	}
-}
-
-// sortedKeys returns the keys of a map[int]... helper for deterministic
-// iteration over node sets.
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

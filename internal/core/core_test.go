@@ -112,7 +112,7 @@ func TestCentralizedRescanMatchesIncremental(t *testing.T) {
 	m1 := newField(t, 3, 30, 5)
 	m2 := newField(t, 3, 30, 5)
 	inc := Centralized{}.Deploy(m1, rng.New(1), Options{})
-	res := Centralized{FullRescan: true}.Deploy(m2, rng.New(1), Options{})
+	res := centralizedRescan{}.Deploy(m2, rng.New(1), Options{})
 	if inc.NumPlaced() != res.NumPlaced() {
 		t.Fatalf("incremental placed %d, rescan %d", inc.NumPlaced(), res.NumPlaced())
 	}

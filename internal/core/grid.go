@@ -25,27 +25,20 @@ import (
 type GridDECOR struct {
 	CellSize float64
 	// Sequential serializes the distributed execution: only one leader
-	// places per round, so every decision sees fully propagated state.
-	// This is the concurrency ablation from DESIGN.md §5 — it bounds how
-	// much of DECOR's overhead vs the centralized greedy is coordination
-	// cost (same-round races) rather than knowledge locality.
+	// places per round — the first decision in occupied-cell order — so
+	// every decision sees fully propagated state. This is the concurrency
+	// ablation from DESIGN.md §5 — it bounds how much of DECOR's overhead
+	// vs the centralized greedy is coordination cost (same-round races)
+	// rather than knowledge locality.
 	Sequential bool
-	// FullRescan disables the incremental per-cell benefit cache and
-	// re-evaluates every candidate's benefit from the round snapshot each
-	// round, exactly as the seed implementation did. Placements are
-	// identical either way (the parity tests assert it); this exists as
-	// the reference path and for the ablation benchmark in DESIGN.md §8.
-	FullRescan bool
 	// NewRs overrides the sensing radius of newly placed sensors
 	// (0 = the map default), the paper's heterogeneous setting.
 	NewRs float64
-	// Workers enables the tile-parallel engine (tiled.go) on maps with
-	// tiled coverage storage: decisions are scored concurrently across
-	// occupied cells and benefit updates scattered tile-partitioned.
-	// 0 disables it (the seed path), > 0 uses that many workers, < 0
-	// uses GOMAXPROCS. Placements are byte-identical for every setting
-	// (the tiled parity suite asserts it); it is ignored on flat maps
-	// and under the Sequential/FullRescan ablations.
+	// Workers is the worker count inside each round (tiled.go): leader
+	// decisions are scored concurrently across occupied cells and benefit
+	// updates scattered tile-partitioned. 0 and 1 run inline, > 1 uses
+	// that many workers, < 0 uses GOMAXPROCS. Placements are
+	// byte-identical for every setting (the parity suite asserts it).
 	Workers int
 }
 
@@ -66,7 +59,7 @@ type gridState struct {
 	// densely by cell (the cell count is fixed for a run).
 	members [][]int
 	// occ lists the occupied cells ascending, maintained incrementally —
-	// always equal to sortedKeys(members).
+	// the cells with a non-empty members list.
 	occ []int
 	// nbrs precomputes every cell's Moore neighborhood.
 	nbrs [][]int
@@ -74,40 +67,14 @@ type gridState struct {
 	cellOf []int
 }
 
-// addMember records sensor id as a member of cell, keeping occ sorted.
-func (st *gridState) addMember(cell, id int) {
-	if len(st.members[cell]) == 0 {
-		i := sort.SearchInts(st.occ, cell)
-		st.occ = append(st.occ, 0)
-		copy(st.occ[i+1:], st.occ[i:])
-		st.occ[i] = cell
-	}
-	st.members[cell] = append(st.members[cell], id)
-}
-
-// gridPlacement is one leader decision within a round.
-type gridPlacement struct {
-	leader int
-	cell   int
-	pos    geom.Point
-	ptIdx  int
-}
-
-// Deploy implements Method.
-func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
-	validateDeployInputs(m, r)
-	if g.CellSize <= 0 {
-		panic("core: GridDECOR requires a positive cell size")
-	}
-	newRs := g.NewRs
-	if newRs <= 0 {
-		newRs = m.Rs()
-	}
-	res := Result{Method: g.Name(), NodeMessages: map[int]int{}}
-	tctx, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+// newGridState partitions m into cellSize cells, enrolls the existing
+// sensors, and accounts the initial position exchange in res: each
+// occupied cell's leader advertises its sensors to occupied Moore
+// neighbors (one message each).
+func newGridState(m *coverage.Map, cellSize float64, res *Result) *gridState {
 	st := &gridState{
 		m:    m,
-		part: partition.NewGrid(m.Field(), g.CellSize),
+		part: partition.NewGrid(m.Field(), cellSize),
 	}
 	st.members = make([][]int, st.part.NumCells())
 	pts := make([]geom.Point, m.NumPoints())
@@ -130,9 +97,6 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		p, _ := m.SensorPos(id)
 		st.addMember(st.part.CellIndex(p), id)
 	}
-
-	// Initial position exchange: each occupied cell's leader advertises
-	// its sensors to occupied Moore neighbors (one message each).
 	for _, c := range st.occ {
 		leader := st.members[c][0]
 		for _, nc := range st.nbrs[c] {
@@ -142,20 +106,85 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			}
 		}
 	}
+	return st
+}
 
-	if g.tiledActive(m) {
-		return g.deployTiled(m, st, newRs, opt, res, tctx, depSpan)
+// addMember records sensor id as a member of cell, keeping occ sorted.
+func (st *gridState) addMember(cell, id int) {
+	if len(st.members[cell]) == 0 {
+		i := sort.SearchInts(st.occ, cell)
+		st.occ = append(st.occ, 0)
+		copy(st.occ[i+1:], st.occ[i:])
+		st.occ[i] = cell
 	}
+	st.members[cell] = append(st.members[cell], id)
+}
 
-	var cache *benefitCache
-	if !g.FullRescan {
-		cache = newBenefitCache(m, newRs, st.cellOf)
-		defer cache.flush()
+// gridPlacement is one leader decision within a round.
+type gridPlacement struct {
+	leader int
+	cell   int
+	pos    geom.Point
+	ptIdx  int
+}
+
+// commit deploys decision d as sensor id with radius newRs and accounts
+// its messages: one per occupied neighboring cell whose area the new
+// sensor's disk overlaps (§3.3 border exchange), plus one to the adopted
+// cell's new sensor if placed remotely. Base-station seeds (leader < 0)
+// send none.
+func (st *gridState) commit(d gridPlacement, id int, newRs float64, res *Result) {
+	m := st.m
+	if newRs == m.Rs() {
+		m.AddSensorAtPoint(id, d.ptIdx)
+	} else {
+		m.AddSensorRadius(id, d.pos, newRs)
+	}
+	st.addMember(d.cell, id)
+	if d.leader < 0 {
+		return
+	}
+	disk := geom.Disk{Center: d.pos, R: newRs}
+	for _, nc := range st.nbrs[d.cell] {
+		if len(st.members[nc]) == 0 {
+			continue
+		}
+		if disk.IntersectsRect(st.part.CellRect(nc)) {
+			res.Messages++
+			res.NodeMessages[d.leader]++
+		}
+	}
+	if lp, _ := m.SensorPos(d.leader); d.cell != st.part.CellIndex(lp) {
+		res.Messages++ // instruct the remote cell's new leader
+		res.NodeMessages[d.leader]++
+	}
+}
+
+// Deploy implements Method. Each round, leaders decide against the
+// round-start snapshot, every decision is committed in occupied-cell
+// order, and the tile engine folds the round into its benefit cache.
+func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
+	validateDeployInputs(m, r)
+	if g.CellSize <= 0 {
+		panic("core: GridDECOR requires a positive cell size")
+	}
+	newRs := g.NewRs
+	if newRs <= 0 {
+		newRs = m.Rs()
+	}
+	res := Result{Method: g.Name(), NodeMessages: map[int]int{}}
+	tctx, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+	defer endDeploySpan(depSpan, &res)
+	st := newGridState(m, g.CellSize, &res)
+	e := newTiledGrid(st, newRs, g.Sequential, g.Workers, opt)
+	defer e.flush()
+	if e.cancelled.Load() {
+		res.Interrupted = true
+		return res
 	}
 
 	nextID := nextSensorID(m)
 	var decided []gridPlacement
-	var snapBuf []int
 	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
 		if res.Capped {
 			break
@@ -166,30 +195,31 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		}
 		roundSpan := obs.StartSpan(obs.CoreRoundSeconds)
 		_, trSpan := obs.StartSpanCtx(tctx, "core.round")
-		decided = decided[:0]
 		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
-		if cache != nil {
-			decided = g.decideCached(st, cache, round, decided)
-		} else {
-			snapBuf = m.CountsInto(snapBuf)
-			decided = g.decideRescan(st, snapBuf, newRs, round, decided)
-		}
+		decided = e.decide(round, opt, decided[:0])
 		evalSpan.End()
+		if e.cancelled.Load() {
+			res.Interrupted = true
+			roundSpan.End()
+			trSpan.End()
+			break
+		}
 		if len(decided) == 0 {
 			// No leader can reach the remaining deficient points: the
 			// base station seeds the lowest deficient sample point (the
 			// paper's regular-positioning fallback for empty regions).
-			unc := m.UncoveredPoints()
-			if len(unc) == 0 {
+			u := e.lowestDeficient()
+			if u < 0 {
 				roundSpan.End()
 				trSpan.End()
 				break
 			}
-			decided = append(decided, gridPlacement{leader: -1, cell: st.cellOf[unc[0]], pos: m.Point(unc[0]), ptIdx: unc[0]})
+			decided = append(decided, gridPlacement{leader: -1, cell: st.cellOf[u], pos: m.Point(u), ptIdx: u})
 			res.Seeded++
 		}
 		// Apply all of this round's placements; notifications go out
 		// between rounds (the next snapshot sees them).
+		applied := e.applied[:0]
 		for _, d := range decided {
 			if len(res.Placed) >= opt.maxPlacements() {
 				res.Capped = true
@@ -197,37 +227,12 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			}
 			id := nextID
 			nextID++
-			if cache != nil && newRs == m.Rs() {
-				m.AddSensorAtPoint(id, d.ptIdx)
-			} else {
-				m.AddSensorRadius(id, d.pos, newRs)
-			}
-			st.addMember(d.cell, id)
-			if cache != nil {
-				cache.applyPlacement(d.ptIdx)
-			}
+			st.commit(d, id, newRs, &res)
+			applied = append(applied, d.ptIdx)
 			res.Placed = append(res.Placed, Placement{ID: id, Pos: d.pos, Round: round})
-			if d.leader < 0 {
-				continue // base-station seed: no leader messages
-			}
-			// One message per occupied neighboring cell whose area the
-			// new sensor's disk overlaps (§3.3 border exchange), plus one
-			// to the adopted cell's new sensor if placed remotely.
-			disk := geom.Disk{Center: d.pos, R: newRs}
-			for _, nc := range st.nbrs[d.cell] {
-				if len(st.members[nc]) == 0 {
-					continue
-				}
-				if disk.IntersectsRect(st.part.CellRect(nc)) {
-					res.Messages++
-					res.NodeMessages[d.leader]++
-				}
-			}
-			if d.cell != st.part.CellIndex(func() geom.Point { p, _ := m.SensorPos(d.leader); return p }()) {
-				res.Messages++ // instruct the remote cell's new leader
-				res.NodeMessages[d.leader]++
-			}
 		}
+		e.fold(applied)
+		e.applied = applied
 		res.Rounds = round + 1
 		roundSpan.End()
 		if trSpan != nil {
@@ -235,72 +240,13 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			trSpan.End()
 		}
 	}
+	return res
+}
+
+// endDeploySpan closes the core.deploy trace span with the run summary.
+func endDeploySpan(depSpan *obs.ActiveSpan, res *Result) {
 	if depSpan != nil {
 		depSpan.SetAttr(fmt.Sprintf("method=%s rounds=%d placed=%d", res.Method, res.Rounds, len(res.Placed)))
 		depSpan.End()
 	}
-	return res
-}
-
-// decideCached collects one round's leader decisions from the incremental
-// benefit cache.
-func (g GridDECOR) decideCached(st *gridState, cache *benefitCache, round int, decided []gridPlacement) []gridPlacement {
-	for _, c := range st.occ {
-		if g.Sequential && len(decided) > 0 {
-			break
-		}
-		leader := st.members[c][round%len(st.members[c])]
-		// Own cell first.
-		if idx, _, ok := cache.best(st.cells[c]); ok {
-			decided = append(decided, gridPlacement{leader, c, st.m.Point(idx), idx})
-			continue
-		}
-		// Own cell covered: adopt the first empty deficient neighbor.
-		for _, nc := range st.nbrs[c] {
-			if len(st.members[nc]) > 0 {
-				continue
-			}
-			if idx, _, ok := cache.best(st.cells[nc]); ok {
-				decided = append(decided, gridPlacement{leader, nc, st.m.Point(idx), idx})
-				break
-			}
-		}
-	}
-	return decided
-}
-
-// decideRescan is the reference decision path: every candidate's benefit
-// is recomputed from the round snapshot through bestCandidateRadius.
-func (g GridDECOR) decideRescan(st *gridState, snap []int, newRs float64, round int, decided []gridPlacement) []gridPlacement {
-	m := st.m
-	perceive := func(cell int) func(i int) int {
-		return func(i int) int {
-			if st.cellOf[i] != cell {
-				return -1 // outside the leader's knowledge
-			}
-			return snap[i]
-		}
-	}
-	for _, c := range st.occ {
-		if g.Sequential && len(decided) > 0 {
-			break
-		}
-		leader := st.members[c][round%len(st.members[c])]
-		// Own cell first.
-		if idx, _, ok := bestCandidateRadius(m, newRs, st.cells[c], perceive(c)); ok {
-			decided = append(decided, gridPlacement{leader, c, m.Point(idx), idx})
-			continue
-		}
-		// Own cell covered: adopt the first empty deficient neighbor.
-		for _, nc := range st.nbrs[c] {
-			if len(st.members[nc]) > 0 {
-				continue
-			}
-			if idx, _, ok := bestCandidateRadius(m, newRs, st.cells[nc], perceive(nc)); ok {
-				decided = append(decided, gridPlacement{leader, nc, m.Point(idx), idx})
-				break
-			}
-		}
-	}
-	return decided
 }

@@ -37,7 +37,7 @@ func TestCentralizedHeteroRescanMatchesIncremental(t *testing.T) {
 	a := newField(t, 2, 30, 5)
 	b := newField(t, 2, 30, 5)
 	inc := (Centralized{NewRs: 6}).Deploy(a, rng.New(1), Options{})
-	res := (Centralized{NewRs: 6, FullRescan: true}).Deploy(b, rng.New(1), Options{})
+	res := centralizedRescan{Centralized{NewRs: 6}}.Deploy(b, rng.New(1), Options{})
 	if inc.NumPlaced() != res.NumPlaced() {
 		t.Fatalf("incremental %d vs rescan %d", inc.NumPlaced(), res.NumPlaced())
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 	"decor/internal/rng"
 )
 
-// Differential tests: the incremental benefit cache must be a pure
-// optimization. For every scheme, seed, and k the cached deployment has to
-// produce byte-identical results to the FullRescan reference path.
+// Differential tests: incremental benefit maintenance must be a pure
+// optimization. For every scheme, seed, and k the shipped engine has to
+// produce byte-identical results to the rescan oracle (oracle_test.go).
 
 // parityMap builds a deterministic scenario: Halton sample points on a
 // square field, random initial sensors.
@@ -40,36 +41,39 @@ func assertSameResult(t *testing.T, label string, ref, got Result) {
 		}
 		for i := 0; i < n; i++ {
 			if ref.Placed[i] != got.Placed[i] {
-				t.Fatalf("%s: placement %d diverges: rescan %+v, cached %+v",
+				t.Fatalf("%s: placement %d diverges: oracle %+v, engine %+v",
 					label, i, ref.Placed[i], got.Placed[i])
 			}
 		}
-		t.Fatalf("%s: placement count diverges: rescan %d, cached %d",
+		t.Fatalf("%s: placement count diverges: oracle %d, engine %d",
 			label, len(ref.Placed), len(got.Placed))
 	}
 	if ref.Rounds != got.Rounds || ref.Seeded != got.Seeded || ref.Capped != got.Capped {
-		t.Fatalf("%s: rounds/seeded/capped diverge: rescan %d/%d/%v, cached %d/%d/%v",
+		t.Fatalf("%s: rounds/seeded/capped diverge: oracle %d/%d/%v, engine %d/%d/%v",
 			label, ref.Rounds, ref.Seeded, ref.Capped, got.Rounds, got.Seeded, got.Capped)
 	}
 	if ref.Messages != got.Messages || !reflect.DeepEqual(ref.NodeMessages, got.NodeMessages) {
-		t.Fatalf("%s: message accounting diverges: rescan %d, cached %d",
+		t.Fatalf("%s: message accounting diverges: oracle %d, engine %d",
 			label, ref.Messages, got.Messages)
 	}
 }
 
+// TestGridCacheParity covers Sequential × cell size × k × Workers: the
+// Sequential ablation runs on the same tile engine (first decision of
+// each round only), and every worker count must match the oracle.
 func TestGridCacheParity(t *testing.T) {
 	for _, cell := range []float64{5, 10} {
 		for _, seq := range []bool{false, true} {
 			for k := 1; k <= 5; k++ {
 				for seed := uint64(1); seed <= 4; seed++ {
-					mRef := parityMap(seed, k)
-					mCached := parityMap(seed, k)
-					ref := GridDECOR{CellSize: cell, Sequential: seq, FullRescan: true}.
-						Deploy(mRef, rng.New(seed), Options{})
-					got := GridDECOR{CellSize: cell, Sequential: seq}.
-						Deploy(mCached, rng.New(seed), Options{})
-					label := "grid cell=" + ref.Method
-					assertSameResult(t, label, ref, got)
+					g := GridDECOR{CellSize: cell, Sequential: seq}
+					ref := gridRescan{g}.Deploy(parityMap(seed, k), rng.New(seed), Options{})
+					for _, w := range []int{0, 1, 4} {
+						g.Workers = w
+						got := g.Deploy(parityMap(seed, k), rng.New(seed), Options{})
+						label := fmt.Sprintf("%s seq=%v k=%d seed=%d workers=%d", ref.Method, seq, k, seed, w)
+						assertSameResult(t, label, ref, got)
+					}
 				}
 			}
 		}
@@ -81,12 +85,9 @@ func TestVoronoiCacheParity(t *testing.T) {
 		for _, seq := range []bool{false, true} {
 			for k := 1; k <= 5; k++ {
 				for seed := uint64(1); seed <= 4; seed++ {
-					mRef := parityMap(seed, k)
-					mCached := parityMap(seed, k)
-					ref := VoronoiDECOR{Rc: rc, Sequential: seq, FullRescan: true}.
-						Deploy(mRef, rng.New(seed), Options{})
-					got := VoronoiDECOR{Rc: rc, Sequential: seq}.
-						Deploy(mCached, rng.New(seed), Options{})
+					v := VoronoiDECOR{Rc: rc, Sequential: seq}
+					ref := voronoiRescan{v}.Deploy(parityMap(seed, k), rng.New(seed), Options{})
+					got := v.Deploy(parityMap(seed, k), rng.New(seed), Options{})
 					label := "voronoi " + ref.Method
 					assertSameResult(t, label, ref, got)
 				}
@@ -100,20 +101,14 @@ func TestVoronoiCacheParity(t *testing.T) {
 func TestCacheParityHeterogeneousRs(t *testing.T) {
 	for _, newRs := range []float64{2, 3, 6} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			mRef := parityMap(seed, 2)
-			mCached := parityMap(seed, 2)
-			ref := GridDECOR{CellSize: 5, NewRs: newRs, FullRescan: true}.
-				Deploy(mRef, rng.New(seed), Options{})
-			got := GridDECOR{CellSize: 5, NewRs: newRs}.
-				Deploy(mCached, rng.New(seed), Options{})
+			g := GridDECOR{CellSize: 5, NewRs: newRs}
+			ref := gridRescan{g}.Deploy(parityMap(seed, 2), rng.New(seed), Options{})
+			got := g.Deploy(parityMap(seed, 2), rng.New(seed), Options{})
 			assertSameResult(t, "grid newRs", ref, got)
 
-			mRef = parityMap(seed, 2)
-			mCached = parityMap(seed, 2)
-			refV := VoronoiDECOR{Rc: 8, NewRs: newRs, FullRescan: true}.
-				Deploy(mRef, rng.New(seed), Options{})
-			gotV := VoronoiDECOR{Rc: 8, NewRs: newRs}.
-				Deploy(mCached, rng.New(seed), Options{})
+			v := VoronoiDECOR{Rc: 8, NewRs: newRs}
+			refV := voronoiRescan{v}.Deploy(parityMap(seed, 2), rng.New(seed), Options{})
+			gotV := v.Deploy(parityMap(seed, 2), rng.New(seed), Options{})
 			assertSameResult(t, "voronoi newRs", refV, gotV)
 		}
 	}
@@ -123,20 +118,15 @@ func TestCacheParityHeterogeneousRs(t *testing.T) {
 // decisions cut off by the cap must not leak into the snapshot.
 func TestCacheParityWithCap(t *testing.T) {
 	for _, capN := range []int{1, 3, 17} {
-		mRef := parityMap(11, 3)
-		mCached := parityMap(11, 3)
-		ref := GridDECOR{CellSize: 5, FullRescan: true}.
-			Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
-		got := GridDECOR{CellSize: 5}.
-			Deploy(mCached, rng.New(11), Options{MaxPlacements: capN})
+		opt := Options{MaxPlacements: capN}
+		g := GridDECOR{CellSize: 5}
+		ref := gridRescan{g}.Deploy(parityMap(11, 3), rng.New(11), opt)
+		got := g.Deploy(parityMap(11, 3), rng.New(11), opt)
 		assertSameResult(t, "grid cap", ref, got)
 
-		mRef = parityMap(11, 3)
-		mCached = parityMap(11, 3)
-		refV := VoronoiDECOR{Rc: 8, FullRescan: true}.
-			Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
-		gotV := VoronoiDECOR{Rc: 8}.
-			Deploy(mCached, rng.New(11), Options{MaxPlacements: capN})
+		v := VoronoiDECOR{Rc: 8}
+		refV := voronoiRescan{v}.Deploy(parityMap(11, 3), rng.New(11), opt)
+		gotV := v.Deploy(parityMap(11, 3), rng.New(11), opt)
 		assertSameResult(t, "voronoi cap", refV, gotV)
 	}
 }
@@ -156,30 +146,24 @@ func benchDeployMap(k, initial int) *coverage.Map {
 
 // BenchmarkBenefitRadius measures one round's worth of benefit
 // evaluations — every leader/node picking its best deficient candidate on
-// a partially covered field — through the two evaluation paths: the
-// seed's snapshot rescan (bestCandidateRadius per candidate) vs the
-// incremental cache (DESIGN.md §8). The cached paths read precomputed
-// state and allocate nothing.
+// a partially covered field — through the rescan oracle's
+// bestCandidateRadius vs the shipped incremental state: the grid tile
+// engine's decide and the Voronoi benefit cache (DESIGN.md §8). The
+// cached paths read precomputed state and allocate nothing.
 func BenchmarkBenefitRadius(b *testing.B) {
 	m := benchDeployMap(2, 120)
 	rs := m.Rs()
 	sink := 0
 
-	// Grid bookkeeping: cell candidate lists and the point->cell map.
-	part := partition.NewGrid(m.Field(), 5)
+	// Grid bookkeeping: cells, membership and leaders for the initial
+	// sensors.
+	st := newGridState(m, 5, &Result{NodeMessages: map[int]int{}})
+
+	// Voronoi bookkeeping: ownership for the initial sensors.
 	pts := make([]geom.Point, m.NumPoints())
 	for i := range pts {
 		pts[i] = m.Point(i)
 	}
-	cells := part.AssignPoints(pts)
-	cellOf := make([]int, len(pts))
-	for c, idxs := range cells {
-		for _, i := range idxs {
-			cellOf[i] = c
-		}
-	}
-
-	// Voronoi bookkeeping: ownership for the initial sensors.
 	vor := partition.NewVoronoi(m.Field(), pts, 8)
 	ids := m.SensorIDs()
 	pos := make(map[int]geom.Point, len(ids))
@@ -193,29 +177,27 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			snap := m.Counts()
-			for c := range cells {
+			for _, c := range st.occ {
 				perceive := func(i int) int {
-					if cellOf[i] != c {
+					if st.cellOf[i] != c {
 						return -1
 					}
 					return snap[i]
 				}
-				if idx, _, ok := bestCandidateRadius(m, rs, cells[c], perceive); ok {
+				if idx, _, ok := bestCandidateRadius(m, rs, st.cells[c], perceive); ok {
 					sink += idx
 				}
 			}
 		}
 	})
 	b.Run("grid-cached", func(b *testing.B) {
-		cache := newBenefitCache(m, rs, cellOf)
+		e := newTiledGrid(st, rs, false, 1, Options{})
+		decided := e.decide(0, Options{}, nil) // sizes the slot and result buffers
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for c := range cells {
-				if idx, _, ok := cache.best(cells[c]); ok {
-					sink += idx
-				}
-			}
+			decided = e.decide(0, Options{}, decided[:0])
+			sink += len(decided)
 		}
 	})
 	b.Run("voronoi-rescan", func(b *testing.B) {
@@ -241,7 +223,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		}
 	})
 	b.Run("voronoi-cached", func(b *testing.B) {
-		cache := newBenefitCache(m, rs, nil)
+		cache := newBenefitCache(m, rs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -258,18 +240,20 @@ func BenchmarkBenefitRadius(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkDeployAblation runs full distributed deployments through both
-// evaluation paths — the end-to-end view of what the cache buys,
-// including its build cost.
+// BenchmarkDeployAblation runs full deployments through the rescan
+// oracles and the shipped engines — the end-to-end view of what
+// incremental benefit maintenance buys, including its build cost.
 func BenchmarkDeployAblation(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		meth Method
 	}{
-		{"grid-rescan", GridDECOR{CellSize: 5, FullRescan: true}},
+		{"grid-rescan", gridRescan{GridDECOR{CellSize: 5}}},
 		{"grid-cached", GridDECOR{CellSize: 5}},
-		{"voronoi-rescan", VoronoiDECOR{Rc: 8, FullRescan: true}},
+		{"voronoi-rescan", voronoiRescan{VoronoiDECOR{Rc: 8}}},
 		{"voronoi-cached", VoronoiDECOR{Rc: 8}},
+		{"centralized-rescan", centralizedRescan{}},
+		{"centralized-cached", Centralized{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

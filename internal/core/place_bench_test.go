@@ -57,17 +57,17 @@ func getPlaceScenario(n int) *placeScenario {
 	return s
 }
 
-// proto returns a cached prototype map with the scenario's initial
-// sensors, built once per (mode, tile options) variant. All variants
-// share one neighborhood cache: the adjacency depends only on the
-// points.
-func (s *placeScenario) proto(key string, build func() *coverage.Map) *coverage.Map {
+// tiledProto returns a cached prototype map with the scenario's initial
+// sensors, built once per tile-options variant. All variants share one
+// neighborhood cache: the adjacency depends only on the points.
+func (s *placeScenario) tiledProto(opt coverage.TileOptions) *coverage.Map {
+	key := fmt.Sprintf("tiled/%d/%d", opt.TilePoints, opt.MaxResidentTiles)
 	placeMu.Lock()
 	defer placeMu.Unlock()
 	if m, ok := s.protos[key]; ok {
 		return m
 	}
-	m := build()
+	m := coverage.NewTiled(s.field, s.pts, 4, 1, opt)
 	m.ShareNeighborhoods(&s.nb)
 	r := rng.New(99)
 	for id := 0; id < s.n/40; id++ {
@@ -81,28 +81,14 @@ func (s *placeScenario) proto(key string, build func() *coverage.Map) *coverage.
 	return m
 }
 
-func (s *placeScenario) flatProto() *coverage.Map {
-	return s.proto("flat", func() *coverage.Map {
-		return coverage.New(s.field, s.pts, 4, 1)
-	})
-}
-
-func (s *placeScenario) tiledProto(opt coverage.TileOptions) *coverage.Map {
-	key := fmt.Sprintf("tiled/%d/%d", opt.TilePoints, opt.MaxResidentTiles)
-	return s.proto(key, func() *coverage.Map {
-		return coverage.NewTiled(s.field, s.pts, 4, 1, opt)
-	})
-}
-
 // BenchmarkPlace deploys grid-small DECOR (and the centralized
 // baseline) to full 1-coverage on large fields:
 //
-//   - grid-flat: the seed path (flat counts + benefitCache), the
-//     pre-tiling reference.
-//   - grid-seq: tiled storage, tile engine, Workers=1.
-//   - grid-par4: tiled storage, Workers=4 (decisions scored across
-//     cells concurrently, scatter tile-partitioned). Identical
-//     placements; wall-clock scales with available cores.
+//   - grid-seq: the default configuration, GridDECOR{CellSize: 5} on a
+//     New map (tile engine inline).
+//   - grid-par4: Workers=4 (decisions scored across cells
+//     concurrently, scatter tile-partitioned). Identical placements;
+//     wall-clock scales with available cores.
 //   - grid-par4-resident: grid-par4 under a resident-page budget of
 //     half the tiles, proving field size is not bound by resident
 //     count memory.
@@ -121,7 +107,7 @@ func BenchmarkPlace(b *testing.B) {
 			}{
 				{"grid-seq", func(b *testing.B) {
 					benchDeployClone(b, s.tiledProto(coverage.TileOptions{}),
-						GridDECOR{CellSize: 5, Workers: 1}, 0)
+						GridDECOR{CellSize: 5}, 0)
 				}},
 				{"grid-par4", func(b *testing.B) {
 					benchDeployClone(b, s.tiledProto(coverage.TileOptions{}),
@@ -138,12 +124,6 @@ func BenchmarkPlace(b *testing.B) {
 						Centralized{Workers: 4}, 0)
 				}},
 			}
-			variants = append(variants, struct {
-				name string
-				run  func(b *testing.B)
-			}{"grid-flat", func(b *testing.B) {
-				benchDeployClone(b, s.flatProto(), GridDECOR{CellSize: 5}, 0)
-			}})
 			for _, v := range variants {
 				b.Run(v.name, v.run)
 			}

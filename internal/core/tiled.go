@@ -1,24 +1,20 @@
-// Tile-parallel placement engines for maps with tiled coverage storage
-// (DESIGN.md §13).
+// Tile-parallel placement engines, the only engines of the grid and
+// centralized methods (DESIGN.md §13).
 //
-// Both engines here are drop-in replacements for existing paths, proven
-// byte-identical by the tiled parity suite:
+//   - tiledGrid is GridDECOR's round engine. Per round, leader decisions
+//     are scored concurrently across occupied cells (the paper's
+//     per-cell independence argument: a decision reads only the
+//     round-start snapshot), then committed sequentially in cell order,
+//     and the benefit scatter for placements whose disks cross tile
+//     boundaries is partitioned by destination tile — each worker owns
+//     whole tiles, so the update is race-free and the final benefit
+//     state is independent of the worker count.
 //
-//   - GridDECOR.deployTiled replaces the decideCached/benefitCache round
-//     loop when the map uses tiled storage and g.Workers enables it. Per
-//     round, leader decisions are scored concurrently across occupied
-//     cells (the paper's per-cell independence argument: a decision
-//     reads only the round-start snapshot), then committed sequentially
-//     in cell order, and the benefit scatter for placements whose disks
-//     cross tile boundaries is partitioned by destination tile — each
-//     worker owns whole tiles, so the update is race-free and the final
-//     benefit state is independent of the worker count.
-//
-//   - Centralized.deployTiled replaces deployIncremental: the global
-//     argmax keeps a per-tile best-candidate memo, skips fully-k-covered
-//     tiles in O(1) via the tile deficiency summary, and re-scans only
-//     tiles whose memo a placement invalidated (those overlapping the
-//     2·rs disk around it).
+//   - Centralized.deployTiled is the global greedy: its argmax keeps a
+//     per-tile best-candidate memo, skips fully-k-covered tiles in O(1)
+//     via the tile deficiency summary, and re-scans only tiles whose
+//     memo a placement invalidated (those overlapping the 2·rs disk
+//     around it).
 //
 // Determinism argument (the conflict-resolution round): decisions are
 // computed from an immutable snapshot into per-cell slots and compacted
@@ -27,37 +23,38 @@
 // drop(j) = max(k−old_j,0) − max(k−new_j,0), which equals the sum of the
 // sequential per-placement decrements for any apply order; integer adds
 // commute, so the scattered benefit array is bit-equal for any worker
-// count, including one.
+// count, including one. The rescan oracles in oracle_test.go hold both
+// engines to the straightforward snapshot-rescan semantics.
 package core
 
 import (
-	"context"
-	"fmt"
 	"sync/atomic"
 
 	"decor/internal/coverage"
-	"decor/internal/geom"
 	"decor/internal/index"
 	"decor/internal/obs"
 	"decor/internal/shard"
 )
 
-// tiledActive reports whether the tile-parallel grid engine handles this
-// deployment. Sequential and FullRescan are ablation modes that must
-// keep their reference semantics; maps without tiled storage have no
-// tile structure to parallelize over.
-func (g GridDECOR) tiledActive(m *coverage.Map) bool {
-	return g.Workers != 0 && !g.Sequential && !g.FullRescan && m.Tiles() != nil
+// shardWorkers maps a placement Workers setting onto shard's: 0 and 1
+// run inline, < 0 means GOMAXPROCS. At paper scale a round is far too
+// small to amortize goroutine fan-out, so inline is the zero value.
+func shardWorkers(w int) int {
+	if w == 0 {
+		return 1
+	}
+	return w
 }
 
-// tiledGrid carries the engine state for one GridDECOR.deployTiled run.
+// tiledGrid carries the engine state for one GridDECOR.Deploy run.
 type tiledGrid struct {
 	m     *coverage.Map
 	ts    *coverage.TileStore
 	st    *gridState
 	nb    *index.Neighborhoods
 	newRs float64
-	w     int // requested workers (0 = GOMAXPROCS)
+	seq   bool // GridDECOR.Sequential: one decision per round
+	w     int  // shard worker count (0 = GOMAXPROCS)
 	k     int32
 
 	// snap mirrors the map's coverage counts (round-start semantics are
@@ -71,9 +68,10 @@ type tiledGrid struct {
 	cellDef []int32 // per grid cell: points with snap < k
 	tileOf  []int32
 
-	slots []gridPlacement // per occupied-cell decision slots
+	slots   []gridPlacement // per occupied-cell decision slots
+	applied []int           // sample points placed at this round
 
-	// Round-apply scratch (all reset each round).
+	// Round-fold scratch (all reset each round).
 	coverCnt  []int32   // per point: placements covering it this round
 	touched   []int     // points with coverCnt > 0
 	drop      []int32   // per point: benefit drop this round
@@ -87,29 +85,28 @@ type tiledGrid struct {
 	deltas    int64
 }
 
-// deployTiled is the tile-parallel round loop. st is fully built and the
-// initial message exchange already accounted.
-func (g GridDECOR) deployTiled(m *coverage.Map, st *gridState, newRs float64, opt Options, res Result, tctx context.Context, depSpan *obs.ActiveSpan) Result {
+// newTiledGrid snapshots st's map and builds the cell-restricted
+// benefit cache. A cancellation during the build leaves cancelled set.
+func newTiledGrid(st *gridState, newRs float64, seq bool, workers int, opt Options) *tiledGrid {
+	m := st.m
 	e := &tiledGrid{
 		m:     m,
 		ts:    m.Tiles(),
 		st:    st,
 		nb:    m.PointNeighborhoods(newRs),
 		newRs: newRs,
-		w:     g.Workers,
+		seq:   seq,
+		w:     shardWorkers(workers),
 		k:     int32(m.K()),
-	}
-	if e.w < 0 {
-		e.w = 0 // shard resolves 0 to GOMAXPROCS
 	}
 	n := m.NumPoints()
 	e.tileOf = e.ts.TileMap()
 	e.snap = make([]int32, n)
 	e.ts.ForEachCount(func(i, c int) { e.snap[i] = int32(c) })
-	e.cellDef = make([]int32, e.st.part.NumCells())
+	e.cellDef = make([]int32, st.part.NumCells())
 	for i, c := range e.snap {
 		if c < e.k {
-			e.cellDef[e.st.cellOf[i]]++
+			e.cellDef[st.cellOf[i]]++
 		}
 	}
 	e.benefit = make([]int32, n)
@@ -121,72 +118,14 @@ func (g GridDECOR) deployTiled(m *coverage.Map, st *gridState, newRs float64, op
 		e.tileMark[t] = -1
 	}
 	e.build(opt)
-	defer func() {
-		if e.deltas > 0 {
-			obsCacheDeltas.Add(e.deltas)
-		}
-	}()
-	if e.cancelled.Load() {
-		res.Interrupted = true
-		endDeploySpan(depSpan, &res)
-		return res
-	}
-
-	nextID := nextSensorID(m)
-	var decided []gridPlacement
-	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
-		if res.Capped {
-			break
-		}
-		if opt.interrupted() {
-			res.Interrupted = true
-			break
-		}
-		roundSpan := obs.StartSpan(obs.CoreRoundSeconds)
-		_, trSpan := obs.StartSpanCtx(tctx, "core.round")
-		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
-		decided = e.decide(round, opt, decided[:0])
-		evalSpan.End()
-		if e.cancelled.Load() {
-			res.Interrupted = true
-			roundSpan.End()
-			if trSpan != nil {
-				trSpan.End()
-			}
-			break
-		}
-		if len(decided) == 0 {
-			// Base-station fallback: seed the lowest deficient point
-			// (found through the tile summaries, not a full scan).
-			u := e.lowestDeficient()
-			if u < 0 {
-				roundSpan.End()
-				if trSpan != nil {
-					trSpan.End()
-				}
-				break
-			}
-			decided = append(decided, gridPlacement{leader: -1, cell: st.cellOf[u], pos: m.Point(u), ptIdx: u})
-			res.Seeded++
-		}
-		applied := e.apply(decided, &res, &nextID, round, opt)
-		e.fold(applied)
-		res.Rounds = round + 1
-		roundSpan.End()
-		if trSpan != nil {
-			trSpan.SetAttr(fmt.Sprintf("round=%d placed=%d", round, len(decided)))
-			trSpan.End()
-		}
-	}
-	endDeploySpan(depSpan, &res)
-	return res
+	return e
 }
 
-// endDeploySpan closes the core.deploy trace span with the run summary.
-func endDeploySpan(depSpan *obs.ActiveSpan, res *Result) {
-	if depSpan != nil {
-		depSpan.SetAttr(fmt.Sprintf("method=%s rounds=%d placed=%d", res.Method, res.Rounds, len(res.Placed)))
-		depSpan.End()
+// flush publishes the run's benefit delta count to the default registry,
+// once per Deploy so the hot loop stays atomic-free.
+func (e *tiledGrid) flush() {
+	if e.deltas > 0 {
+		obsCacheDeltas.Add(e.deltas)
 	}
 }
 
@@ -200,13 +139,13 @@ func (e *tiledGrid) build(opt Options) {
 	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
 	defer span.End()
 	shard.ForEach(e.ts.NumTiles(), e.w, func(t int) {
+		if e.ts.DeficientInTile(t) == 0 {
+			return
+		}
 		if t&31 == 0 && opt.interrupted() {
 			e.cancelled.Store(true)
 		}
 		if e.cancelled.Load() {
-			return
-		}
-		if e.ts.DeficientInTile(t) == 0 {
 			return
 		}
 		for _, ii := range e.ts.TilePoints(t) {
@@ -231,8 +170,7 @@ func (e *tiledGrid) build(opt Options) {
 }
 
 // bestIn returns the deficient candidate with maximum cached benefit,
-// lowest index on ties (candidates are ascending) — cache.best against
-// the engine's snapshot.
+// lowest index on ties (candidates are ascending).
 func (e *tiledGrid) bestIn(candidates []int) (int, bool) {
 	bestV, bestIdx := int32(0), -1
 	for _, i := range candidates {
@@ -246,15 +184,31 @@ func (e *tiledGrid) bestIn(candidates []int) (int, bool) {
 	return bestIdx, bestIdx >= 0
 }
 
-// decide scores one round's leader decisions concurrently across
-// occupied cells. Every job reads only round-start state (snap, benefit,
-// cellDef, membership) and writes its own slot; compaction in occupied-
-// cell order reproduces the sequential decision sequence exactly.
-// Cancellation is polled inside the scoring loop (every 32 cells), not
-// just at round boundaries, so /v1/plan deadlines abort million-point
-// rounds promptly.
+// decide scores one round's leader decisions. Every decision reads only
+// round-start state (snap, benefit, cellDef, membership), so with
+// several workers cells are scored concurrently into per-cell slots and
+// compacted in occupied-cell order, reproducing the inline scan's
+// decision sequence exactly. Under Sequential only the first decision in
+// that order is wanted, so the inline scan stops there. Cancellation is
+// polled inside the scoring loop (every 32 cells), not just at round
+// boundaries, so /v1/plan deadlines abort million-point rounds promptly.
 func (e *tiledGrid) decide(round int, opt Options, decided []gridPlacement) []gridPlacement {
 	occ := e.st.occ
+	if e.seq || e.w == 1 {
+		for ci, c := range occ {
+			if ci&31 == 0 && opt.interrupted() {
+				e.cancelled.Store(true)
+				return decided
+			}
+			if s := e.score(c, round); s.ptIdx >= 0 {
+				decided = append(decided, s)
+				if e.seq {
+					break
+				}
+			}
+		}
+		return decided
+	}
 	if cap(e.slots) < len(occ) {
 		e.slots = make([]gridPlacement, len(occ))
 	}
@@ -266,28 +220,7 @@ func (e *tiledGrid) decide(round int, opt Options, decided []gridPlacement) []gr
 		if e.cancelled.Load() {
 			return
 		}
-		e.slots[ci] = gridPlacement{ptIdx: -1}
-		c := occ[ci]
-		leader := e.st.members[c][round%len(e.st.members[c])]
-		// Own cell first. cellDef > 0 guarantees a positive-benefit
-		// candidate (a deficient point's benefit includes its own
-		// deficit), so the check is equivalent to cache.best's ok.
-		if e.cellDef[c] > 0 {
-			if idx, ok := e.bestIn(e.st.cells[c]); ok {
-				e.slots[ci] = gridPlacement{leader, c, e.m.Point(idx), idx}
-			}
-			return
-		}
-		// Own cell covered: adopt the first empty deficient neighbor.
-		for _, nc := range e.st.nbrs[c] {
-			if len(e.st.members[nc]) > 0 || e.cellDef[nc] == 0 {
-				continue
-			}
-			if idx, ok := e.bestIn(e.st.cells[nc]); ok {
-				e.slots[ci] = gridPlacement{leader, nc, e.m.Point(idx), idx}
-			}
-			return
-		}
+		e.slots[ci] = e.score(occ[ci], round)
 	})
 	if e.cancelled.Load() {
 		return decided
@@ -300,46 +233,29 @@ func (e *tiledGrid) decide(round int, opt Options, decided []gridPlacement) []gr
 	return decided
 }
 
-// apply commits the round's decided placements to the map sequentially
-// — identical bookkeeping (IDs, caps, membership, border messages) to
-// the seed path — and returns the sample points actually placed at.
-func (e *tiledGrid) apply(decided []gridPlacement, res *Result, nextID *int, round int, opt Options) []int {
-	m, st := e.m, e.st
-	var applied []int
-	for _, d := range decided {
-		if len(res.Placed) >= opt.maxPlacements() {
-			res.Capped = true
-			break
+// score is occupied cell c's leader decision for this round, or a slot
+// with ptIdx -1 when the leader has nothing to place.
+func (e *tiledGrid) score(c, round int) gridPlacement {
+	leader := e.st.members[c][round%len(e.st.members[c])]
+	// Own cell first. cellDef > 0 guarantees a positive-benefit
+	// candidate (a deficient point's benefit includes its own deficit).
+	if e.cellDef[c] > 0 {
+		if idx, ok := e.bestIn(e.st.cells[c]); ok {
+			return gridPlacement{leader, c, e.m.Point(idx), idx}
 		}
-		id := *nextID
-		*nextID++
-		if e.newRs == m.Rs() {
-			m.AddSensorAtPoint(id, d.ptIdx)
-		} else {
-			m.AddSensorRadius(id, d.pos, e.newRs)
-		}
-		st.addMember(d.cell, id)
-		applied = append(applied, d.ptIdx)
-		res.Placed = append(res.Placed, Placement{ID: id, Pos: d.pos, Round: round})
-		if d.leader < 0 {
-			continue // base-station seed: no leader messages
-		}
-		disk := geom.Disk{Center: d.pos, R: e.newRs}
-		for _, nc := range st.nbrs[d.cell] {
-			if len(st.members[nc]) == 0 {
-				continue
-			}
-			if disk.IntersectsRect(st.part.CellRect(nc)) {
-				res.Messages++
-				res.NodeMessages[d.leader]++
-			}
-		}
-		if d.cell != st.part.CellIndex(func() geom.Point { p, _ := m.SensorPos(d.leader); return p }()) {
-			res.Messages++ // instruct the remote cell's new leader
-			res.NodeMessages[d.leader]++
-		}
+		return gridPlacement{ptIdx: -1}
 	}
-	return applied
+	// Own cell covered: adopt the first empty deficient neighbor.
+	for _, nc := range e.st.nbrs[c] {
+		if len(e.st.members[nc]) > 0 || e.cellDef[nc] == 0 {
+			continue
+		}
+		if idx, ok := e.bestIn(e.st.cells[nc]); ok {
+			return gridPlacement{leader, nc, e.m.Point(idx), idx}
+		}
+		break
+	}
+	return gridPlacement{ptIdx: -1}
 }
 
 // fold advances the snapshot and benefit cache by one round's applied
@@ -438,8 +354,8 @@ func (e *tiledGrid) fold(applied []int) {
 }
 
 // lowestDeficient returns the lowest-index point with snap < k, or -1 —
-// the seed's UncoveredPoints()[0] through the tile summaries instead of
-// a full scan.
+// UncoveredPoints()[0] through the tile summaries instead of a full
+// scan.
 func (e *tiledGrid) lowestDeficient() int {
 	best := -1
 	for t := 0; t < e.ts.NumTiles(); t++ {
@@ -458,10 +374,13 @@ func (e *tiledGrid) lowestDeficient() int {
 	return best
 }
 
+// memoStale marks a centralized per-tile argmax memo that needs a rescan.
+const memoStale = -2
+
 // deployTiled is the tile-aware centralized greedy: per-tile argmax
 // memos re-scanned only when a placement's 2·rs disk invalidates them,
 // fully covered tiles skipped in O(1) via the deficiency summary.
-// Placements are byte-identical to deployIncremental (the parity tests
+// Placements are byte-identical to the rescan oracle (the parity tests
 // assert it); Workers parallelizes only the one-time benefit build —
 // the steady-state loop is already sub-linear thanks to the memos.
 func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
@@ -470,20 +389,28 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 	rs := c.newRadius(m)
 	nb := m.PointNeighborhoods(rs)
 	kk := int32(m.K())
-	snap := make([]int32, n)
+	nt := ts.NumTiles()
+	// One allocation backs the per-point snapshot and benefit and the
+	// per-tile argmax memo: tileBest[t] is the tile's best candidate (-1
+	// for none, memoStale until scanned) and tileBestV[t] its benefit.
+	buf := make([]int32, 2*n+2*nt)
+	snap, benefit := buf[:n], buf[n:2*n]
+	tileBest, tileBestV := buf[2*n:2*n+nt], buf[2*n+nt:]
+	for t := range tileBest {
+		tileBest[t] = memoStale
+	}
 	ts.ForEachCount(func(i, cnt int) { snap[i] = int32(cnt) })
-	benefit := make([]int32, n)
 	var cancelled atomic.Bool
 	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
-	shard.ForEach(ts.NumTiles(), c.Workers, func(t int) {
+	shard.ForEach(nt, shardWorkers(c.Workers), func(t int) {
+		if ts.DeficientInTile(t) == 0 {
+			return // all candidates covered: their benefit is never read
+		}
 		if t&31 == 0 && opt.interrupted() {
 			cancelled.Store(true)
 		}
 		if cancelled.Load() {
 			return
-		}
-		if ts.DeficientInTile(t) == 0 {
-			return // all candidates covered: their benefit is never read
 		}
 		for _, ii := range ts.TilePoints(t) {
 			i := int(ii)
@@ -505,10 +432,6 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 		return
 	}
 
-	nt := ts.NumTiles()
-	tileBest := make([]int32, nt) // best candidate per tile, -1 = none
-	tileBestV := make([]int32, nt)
-	tileValid := make([]bool, nt)
 	id := nextSensorID(m)
 	for !m.FullyCovered() {
 		if len(res.Placed) >= opt.maxPlacements() {
@@ -525,7 +448,7 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 			if ts.DeficientInTile(t) == 0 {
 				continue // O(1) skip; counts never shrink mid-run
 			}
-			if !tileValid[t] {
+			if tileBest[t] == memoStale {
 				bi, bv := int32(-1), int32(0)
 				for _, ii := range ts.TilePoints(t) {
 					if snap[ii] >= kk {
@@ -535,7 +458,7 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 						bv, bi = b, ii
 					}
 				}
-				tileBest[t], tileBestV[t], tileValid[t] = bi, bv, true
+				tileBest[t], tileBestV[t] = bi, bv
 			}
 			// Lexicographic (benefit, -index) max across tiles restores
 			// the sequential scan's lowest-global-index tie-break: tile
@@ -567,7 +490,7 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 		}
 		// Every touched snap/benefit entry lies within 2·rs of the
 		// placement; invalidate exactly the tiles that disk can reach.
-		ts.VisitTilesInDisk(p, 2*rs, func(t int) { tileValid[t] = false })
+		ts.VisitTilesInDisk(p, 2*rs, func(t int) { tileBest[t] = memoStale })
 		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
 		id++
 	}

@@ -10,26 +10,21 @@ import (
 	"decor/internal/rng"
 )
 
-// Differential tests for the tile-parallel engines (tiled.go): tiled
-// storage plus concurrent scoring must be a pure optimization — for
-// every scheme, seed, k, and worker count, placements, rounds, and
-// message accounting have to be byte-identical to the seed path on a
-// flat map.
+// Differential tests for the tile-parallel engines (tiled.go) under
+// non-default tile layouts: small tiles, resident-page budgets and
+// concurrent scoring must be a pure optimization — for every scheme,
+// seed, k, and worker count, placements, rounds, and message accounting
+// have to be byte-identical to the rescan oracle on the default layout.
 
 // tiledParityMap mirrors parityMap's generator exactly (same rng
-// consumption) but can build the map in tiled mode. TilePoints is kept
+// consumption) with an explicit tile layout. Tests keep TilePoints
 // small so sensing disks (rs = 4) routinely cross tile boundaries.
-func tiledParityMap(seed uint64, k int, tiled bool, opt coverage.TileOptions) *coverage.Map {
+func tiledParityMap(seed uint64, k int, opt coverage.TileOptions) *coverage.Map {
 	r := rng.New(seed)
 	side := 35 + r.Float64()*15
 	field := geom.Square(side)
 	pts := lowdisc.Halton{}.Points(250+r.Intn(200), field)
-	var m *coverage.Map
-	if tiled {
-		m = coverage.NewTiled(field, pts, 4, k, opt)
-	} else {
-		m = coverage.New(field, pts, 4, k)
-	}
+	m := coverage.NewTiled(field, pts, 4, k, opt)
 	initial := 5 + r.Intn(40)
 	for id := 0; id < initial; id++ {
 		m.AddSensor(id, r.PointInRect(field))
@@ -42,17 +37,17 @@ func TestTiledGridParity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for k := 1; k <= 3; k++ {
 				for seed := uint64(1); seed <= 3; seed++ {
-					mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
+					mRef := parityMap(seed, k)
 					opt := coverage.TileOptions{TilePoints: 16}
 					if seed == 2 {
 						opt.MaxResidentTiles = 3 // evict mid-deploy too
 					}
-					mTiled := tiledParityMap(seed, k, true, opt)
-					ref := GridDECOR{CellSize: cell}.Deploy(mRef, rng.New(seed), Options{})
+					mTiled := tiledParityMap(seed, k, opt)
+					ref := gridRescan{GridDECOR{CellSize: cell}}.Deploy(mRef, rng.New(seed), Options{})
 					got := GridDECOR{CellSize: cell, Workers: workers}.Deploy(mTiled, rng.New(seed), Options{})
 					assertSameResult(t, "tiled grid", ref, got)
 					if rf, gf := mRef.CoverageFrac(k), mTiled.CoverageFrac(k); rf != gf {
-						t.Fatalf("final coverage diverges: flat %v, tiled %v", rf, gf)
+						t.Fatalf("final coverage diverges: oracle %v, engine %v", rf, gf)
 					}
 					if max := opt.MaxResidentTiles; max > 0 && mTiled.Tiles().Resident() > max {
 						t.Fatalf("deploy left %d resident tiles, limit %d", mTiled.Tiles().Resident(), max)
@@ -66,9 +61,9 @@ func TestTiledGridParity(t *testing.T) {
 func TestTiledGridParityNewRs(t *testing.T) {
 	for _, newRs := range []float64{2, 3, 6} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			mRef := tiledParityMap(seed, 2, false, coverage.TileOptions{})
-			mTiled := tiledParityMap(seed, 2, true, coverage.TileOptions{TilePoints: 16})
-			ref := GridDECOR{CellSize: 5, NewRs: newRs}.Deploy(mRef, rng.New(seed), Options{})
+			mRef := parityMap(seed, 2)
+			mTiled := tiledParityMap(seed, 2, coverage.TileOptions{TilePoints: 16})
+			ref := gridRescan{GridDECOR{CellSize: 5, NewRs: newRs}}.Deploy(mRef, rng.New(seed), Options{})
 			got := GridDECOR{CellSize: 5, NewRs: newRs, Workers: 4}.Deploy(mTiled, rng.New(seed), Options{})
 			assertSameResult(t, "tiled grid newRs", ref, got)
 		}
@@ -79,57 +74,57 @@ func TestTiledGridParityNewRs(t *testing.T) {
 // only see the placements that actually landed.
 func TestTiledGridParityWithCap(t *testing.T) {
 	for _, capN := range []int{1, 3, 17} {
-		mRef := tiledParityMap(11, 3, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(11, 3, true, coverage.TileOptions{TilePoints: 16})
-		ref := GridDECOR{CellSize: 5}.Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
+		mRef := parityMap(11, 3)
+		mTiled := tiledParityMap(11, 3, coverage.TileOptions{TilePoints: 16})
+		ref := gridRescan{GridDECOR{CellSize: 5}}.Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
 		got := GridDECOR{CellSize: 5, Workers: 4}.Deploy(mTiled, rng.New(11), Options{MaxPlacements: capN})
 		assertSameResult(t, "tiled grid cap", ref, got)
 	}
 }
 
-// Workers = 0 must leave tiled maps on the seed path (benefitCache over
-// the compatibility layer) and still match the flat reference.
+// Workers = 0 (the zero value every figure and service path uses) runs
+// the tile engine inline and must match the oracle on small tiles too.
 func TestTiledMapSeedPathParity(t *testing.T) {
-	mRef := tiledParityMap(5, 2, false, coverage.TileOptions{})
-	mTiled := tiledParityMap(5, 2, true, coverage.TileOptions{TilePoints: 16})
-	ref := GridDECOR{CellSize: 5}.Deploy(mRef, rng.New(5), Options{})
+	mRef := parityMap(5, 2)
+	mTiled := tiledParityMap(5, 2, coverage.TileOptions{TilePoints: 16})
+	ref := gridRescan{GridDECOR{CellSize: 5}}.Deploy(mRef, rng.New(5), Options{})
 	got := GridDECOR{CellSize: 5}.Deploy(mTiled, rng.New(5), Options{})
-	assertSameResult(t, "tiled map, seed engine", ref, got)
+	assertSameResult(t, "tiled map, inline engine", ref, got)
 }
 
 func TestTiledCentralizedParity(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		for seed := uint64(1); seed <= 3; seed++ {
-			mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
-			mTiled := tiledParityMap(seed, k, true, coverage.TileOptions{TilePoints: 16})
-			ref := Centralized{}.Deploy(mRef, rng.New(seed), Options{})
+			mRef := parityMap(seed, k)
+			mTiled := tiledParityMap(seed, k, coverage.TileOptions{TilePoints: 16})
+			ref := centralizedRescan{}.Deploy(mRef, rng.New(seed), Options{})
 			got := Centralized{Workers: 4}.Deploy(mTiled, rng.New(seed), Options{})
 			assertSameResult(t, "tiled centralized", ref, got)
 		}
 	}
 	// Heterogeneous radius and cap variants.
 	for _, newRs := range []float64{2, 6} {
-		mRef := tiledParityMap(4, 2, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(4, 2, true, coverage.TileOptions{TilePoints: 16})
-		ref := Centralized{NewRs: newRs}.Deploy(mRef, rng.New(4), Options{})
+		mRef := parityMap(4, 2)
+		mTiled := tiledParityMap(4, 2, coverage.TileOptions{TilePoints: 16})
+		ref := centralizedRescan{Centralized{NewRs: newRs}}.Deploy(mRef, rng.New(4), Options{})
 		got := Centralized{NewRs: newRs}.Deploy(mTiled, rng.New(4), Options{})
 		assertSameResult(t, "tiled centralized newRs", ref, got)
 	}
 	for _, capN := range []int{1, 5} {
-		mRef := tiledParityMap(4, 3, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(4, 3, true, coverage.TileOptions{TilePoints: 16})
-		ref := Centralized{}.Deploy(mRef, rng.New(4), Options{MaxPlacements: capN})
+		mRef := parityMap(4, 3)
+		mTiled := tiledParityMap(4, 3, coverage.TileOptions{TilePoints: 16})
+		ref := centralizedRescan{}.Deploy(mRef, rng.New(4), Options{MaxPlacements: capN})
 		got := Centralized{}.Deploy(mTiled, rng.New(4), Options{MaxPlacements: capN})
 		assertSameResult(t, "tiled centralized cap", ref, got)
 	}
 }
 
-// Voronoi has no tiled engine, but it must keep working through the
-// compatibility layer on tiled maps.
+// Voronoi reads counts through the Map API only; small tiles and a
+// resident-page budget must not change its placements.
 func TestTiledMapVoronoiParity(t *testing.T) {
-	mRef := tiledParityMap(6, 2, false, coverage.TileOptions{})
-	mTiled := tiledParityMap(6, 2, true, coverage.TileOptions{TilePoints: 16})
-	ref := VoronoiDECOR{Rc: 8}.Deploy(mRef, rng.New(6), Options{})
+	mRef := parityMap(6, 2)
+	mTiled := tiledParityMap(6, 2, coverage.TileOptions{TilePoints: 16, MaxResidentTiles: 3})
+	ref := voronoiRescan{VoronoiDECOR{Rc: 8}}.Deploy(mRef, rng.New(6), Options{})
 	got := VoronoiDECOR{Rc: 8}.Deploy(mTiled, rng.New(6), Options{})
 	assertSameResult(t, "tiled map, voronoi", ref, got)
 }
@@ -140,13 +135,13 @@ func TestTiledMapVoronoiParity(t *testing.T) {
 func TestTiledCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mG := tiledParityMap(1, 2, true, coverage.TileOptions{TilePoints: 16})
+	mG := tiledParityMap(1, 2, coverage.TileOptions{TilePoints: 16})
 	res := GridDECOR{CellSize: 5, Workers: 4}.Deploy(mG, rng.New(1), Options{Ctx: ctx})
 	if !res.Interrupted || len(res.Placed) != 0 {
 		t.Fatalf("grid: expected interrupted empty run, got interrupted=%v placed=%d",
 			res.Interrupted, len(res.Placed))
 	}
-	mC := tiledParityMap(1, 2, true, coverage.TileOptions{TilePoints: 16})
+	mC := tiledParityMap(1, 2, coverage.TileOptions{TilePoints: 16})
 	resC := Centralized{Workers: 4}.Deploy(mC, rng.New(1), Options{Ctx: ctx})
 	if !resC.Interrupted || len(resC.Placed) != 0 {
 		t.Fatalf("centralized: expected interrupted empty run, got interrupted=%v placed=%d",
@@ -157,7 +152,7 @@ func TestTiledCtxCancelled(t *testing.T) {
 // FuzzTileBoundaryConflict drives the disk-crosses-tile-boundary
 // conflict resolution with fuzz-chosen geometry: arbitrary tile sizes
 // (down to a handful of points per tile), worker counts, cell sizes,
-// and requirements must never diverge from the seed path.
+// and requirements must never diverge from the rescan oracle.
 func FuzzTileBoundaryConflict(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(2), uint8(1), uint8(3), uint8(200))
@@ -169,20 +164,20 @@ func FuzzTileBoundaryConflict(f *testing.F) {
 			cell = 10
 		}
 		tp := 4 + int(tpRaw)%60 // tiny tiles: disks span many
-		workers := 1 + int(wRaw)%4
+		workers := int(wRaw) % 5
 		opt := coverage.TileOptions{TilePoints: tp}
 		if wRaw%3 == 0 {
 			opt.MaxResidentTiles = 1 + int(wRaw)%5
 		}
-		mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(seed, k, true, opt)
-		ref := GridDECOR{CellSize: cell}.Deploy(mRef, rng.New(seed), Options{})
+		mRef := parityMap(seed, k)
+		mTiled := tiledParityMap(seed, k, opt)
+		ref := gridRescan{GridDECOR{CellSize: cell}}.Deploy(mRef, rng.New(seed), Options{})
 		got := GridDECOR{CellSize: cell, Workers: workers}.Deploy(mTiled, rng.New(seed), Options{})
 		assertSameResult(t, "fuzz tiled grid", ref, got)
 
-		mRefC := tiledParityMap(seed, k, false, coverage.TileOptions{})
-		mTiledC := tiledParityMap(seed, k, true, opt)
-		refC := Centralized{}.Deploy(mRefC, rng.New(seed), Options{})
+		mRefC := parityMap(seed, k)
+		mTiledC := tiledParityMap(seed, k, opt)
+		refC := centralizedRescan{}.Deploy(mRefC, rng.New(seed), Options{})
 		gotC := Centralized{Workers: workers}.Deploy(mTiledC, rng.New(seed), Options{})
 		assertSameResult(t, "fuzz tiled centralized", refC, gotC)
 	})

@@ -5,7 +5,6 @@ import (
 
 	"decor/internal/coverage"
 	"decor/internal/geom"
-	"decor/internal/index"
 	"decor/internal/obs"
 	"decor/internal/partition"
 	"decor/internal/rng"
@@ -26,12 +25,6 @@ type VoronoiDECOR struct {
 	// Sequential serializes the distributed execution: one placement per
 	// round (see GridDECOR.Sequential).
 	Sequential bool
-	// FullRescan disables the incremental benefit cache and re-evaluates
-	// every owned candidate from the round snapshot each round, exactly as
-	// the seed implementation did. Placements are identical either way
-	// (the parity tests assert it); this exists as the reference path and
-	// for the ablation benchmark in DESIGN.md §8.
-	FullRescan bool
 	// NewRs overrides the sensing radius of newly placed sensors
 	// (0 = the map default).
 	NewRs float64
@@ -89,20 +82,15 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		nodes = append(nodes, voronoiNode{id, p})
 	}
 
-	var cache *benefitCache
-	var nbRc *index.Neighborhoods
-	if !v.FullRescan {
-		cache = newBenefitCache(m, newRs, nil)
-		defer cache.flush()
-		// The rc adjacency turns each placement's ownership claim into a
-		// precomputed-list walk (AddSensorAt); shared across deployments
-		// via the map's neighborhood cache.
-		nbRc = m.PointNeighborhoods(v.Rc)
-	}
+	cache := newBenefitCache(m, newRs)
+	defer cache.flush()
+	// The rc adjacency turns each placement's ownership claim into a
+	// precomputed-list walk (AddSensorAt); shared across deployments via
+	// the map's neighborhood cache.
+	nbRc := m.PointNeighborhoods(v.Rc)
 
 	nextID := nextSensorID(m)
 	var decided []voronoiPlacement
-	var snapBuf []int
 	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
 		if res.Capped {
 			break
@@ -117,41 +105,15 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
 		// Every sensor alive at round start acts concurrently on the
 		// round-start snapshot and ownership.
-		if cache != nil {
-			for _, nd := range nodes {
-				if v.Sequential && len(decided) > 0 {
-					break
-				}
-				if vor.NumOwned(nd.id) == 0 {
-					continue
-				}
-				if idx, _, ok := cache.bestOwned(nd.pos, v.Rc, vor, nd.id); ok {
-					decided = append(decided, voronoiPlacement{owner: nd.id, pos: m.Point(idx), ptIdx: idx})
-				}
+		for _, nd := range nodes {
+			if v.Sequential && len(decided) > 0 {
+				break
 			}
-		} else {
-			snapBuf = m.CountsInto(snapBuf)
-			snap := snapBuf
-			for _, nd := range nodes {
-				if v.Sequential && len(decided) > 0 {
-					break
-				}
-				owned := vor.OwnedPoints(nd.id)
-				if len(owned) == 0 {
-					continue
-				}
-				nodePos := nd.pos
-				perceive := func(i int) int {
-					// The node accurately knows the coverage of every point
-					// within its communication radius (§3.3, rs <= rc).
-					if nodePos.Dist2(m.Point(i)) > v.Rc*v.Rc {
-						return -1
-					}
-					return snap[i]
-				}
-				if idx, _, ok := bestCandidateRadius(m, newRs, owned, perceive); ok {
-					decided = append(decided, voronoiPlacement{owner: nd.id, pos: m.Point(idx), ptIdx: idx})
-				}
+			if vor.NumOwned(nd.id) == 0 {
+				continue
+			}
+			if idx, _, ok := cache.bestOwned(nd.pos, v.Rc, vor, nd.id); ok {
+				decided = append(decided, voronoiPlacement{owner: nd.id, pos: m.Point(idx), ptIdx: idx})
 			}
 		}
 		evalSpan.End()
@@ -186,20 +148,14 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			}
 			id := nextID
 			nextID++
-			if cache != nil && newRs == m.Rs() {
+			if newRs == m.Rs() {
 				m.AddSensorAtPoint(id, d.ptIdx)
 			} else {
 				m.AddSensorRadius(id, d.pos, newRs)
 			}
-			if nbRc != nil {
-				vor.AddSensorAt(id, d.ptIdx, nbRc)
-			} else {
-				vor.AddSensor(id, d.pos)
-			}
+			vor.AddSensorAt(id, d.ptIdx, nbRc)
 			nodes = append(nodes, voronoiNode{id, d.pos})
-			if cache != nil {
-				cache.applyPlacement(d.ptIdx)
-			}
+			cache.applyPlacement(d.ptIdx)
 			res.Placed = append(res.Placed, Placement{ID: id, Pos: d.pos, Round: round})
 		}
 		res.Rounds = round + 1

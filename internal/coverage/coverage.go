@@ -22,15 +22,10 @@ type Map struct {
 	rs    float64
 	k     int
 
-	pts       []geom.Point
-	ptIdx     *index.Grid
-	counts    []int
-	deficient int // number of points with counts[i] < k
-
-	// tiles, when non-nil, replaces counts/deficient with the tiled
-	// uint8 store (DESIGN.md §13) for million-point fields: maps built
-	// with NewTiled keep counts nil and route every count access
-	// through it. Exactly one of counts/tiles is active.
+	pts   []geom.Point
+	ptIdx *index.Grid
+	// tiles holds every point's coverage count k_p in cache-dense uint8
+	// pages with per-tile deficiency summaries (DESIGN.md §13).
 	tiles *TileStore
 
 	sensors   map[int]geom.Point
@@ -56,40 +51,17 @@ type Map struct {
 }
 
 // New creates a coverage map over field, approximated by pts, with sensing
-// radius rs and reliability requirement k. It panics on invalid rs or k —
-// these are programmer errors, not runtime conditions.
+// radius rs and reliability requirement k, using the default tile
+// layout. It panics on invalid rs or k — these are programmer errors,
+// not runtime conditions.
 func New(field geom.Rect, pts []geom.Point, rs float64, k int) *Map {
-	if rs <= 0 {
-		panic("coverage: rs must be positive")
-	}
-	if k < 1 {
-		panic("coverage: k must be >= 1")
-	}
-	m := &Map{
-		field:     field,
-		rs:        rs,
-		k:         k,
-		pts:       append([]geom.Point(nil), pts...),
-		ptIdx:     index.NewGrid(field, rs),
-		counts:    make([]int, len(pts)),
-		deficient: len(pts),
-		sensors:   make(map[int]geom.Point),
-		sensorIdx: index.NewGrid(field, rs),
-		sensorRs:  make(map[int]float64),
-		maxRs:     rs,
-	}
-	m.ptIdx.InsertDense(m.pts)
-	return m
+	return NewTiled(field, pts, rs, k, TileOptions{})
 }
 
-// NewTiled creates a coverage map whose counts live in the tiled uint8
-// store instead of a flat []int: cache-dense pages sized for ~opt.
-// TilePoints samples each, per-tile deficiency summaries for O(1)
-// fully-covered-tile skips, and optional eviction to a TileBacking under
-// opt.MaxResidentTiles. Observable behavior is identical to New — the
-// tiled parity suite holds the two modes byte-identical — but k must fit
-// the requirement in a uint8 page (k <= 255; counts themselves are exact
-// past 255 via an overflow sidecar). It panics on invalid rs or k.
+// NewTiled is New with an explicit tile layout: pages sized for ~opt.
+// TilePoints samples each, and optional eviction to a TileBacking under
+// opt.MaxResidentTiles. Observable behavior is identical for every
+// layout. It panics on invalid rs or k.
 func NewTiled(field geom.Rect, pts []geom.Point, rs float64, k int, opt TileOptions) *Map {
 	if rs <= 0 {
 		panic("coverage: rs must be positive")
@@ -113,18 +85,9 @@ func NewTiled(field geom.Rect, pts []geom.Point, rs float64, k int, opt TileOpti
 	return m
 }
 
-// Tiles returns the tiled count store, or nil for a flat map. Engines
-// use it to branch onto the tile-parallel paths and to reach the
-// per-tile deficiency summaries.
+// Tiles returns the tiled count store. Placement engines use it to
+// reach the tile geometry and the per-tile deficiency summaries.
 func (m *Map) Tiles() *TileStore { return m.tiles }
-
-// cnt returns point i's coverage count in either storage mode.
-func (m *Map) cnt(i int) int {
-	if m.tiles != nil {
-		return m.tiles.Count(i)
-	}
-	return m.counts[i]
-}
 
 // Field returns the monitored rectangle.
 func (m *Map) Field() geom.Rect { return m.field }
@@ -149,16 +112,7 @@ func (m *Map) SetK(k int) {
 		return
 	}
 	m.k = k
-	if m.tiles != nil {
-		m.tiles.SetK(k)
-		return
-	}
-	m.deficient = 0
-	for _, c := range m.counts {
-		if c < k {
-			m.deficient++
-		}
-	}
+	m.tiles.SetK(k)
 }
 
 // NumPoints returns the number of sample points.
@@ -168,17 +122,14 @@ func (m *Map) NumPoints() int { return len(m.pts) }
 func (m *Map) Point(i int) geom.Point { return m.pts[i] }
 
 // Count returns the current coverage count k_p of sample point i.
-func (m *Map) Count(i int) int { return m.cnt(i) }
+func (m *Map) Count(i int) int { return m.tiles.Count(i) }
 
 // Counts returns a copy of all coverage counts (a snapshot, used by the
 // round-based distributed simulation).
 func (m *Map) Counts() []int {
-	if m.tiles != nil {
-		out := make([]int, len(m.pts))
-		m.tiles.CountsInto(out)
-		return out
-	}
-	return append([]int(nil), m.counts...)
+	out := make([]int, len(m.pts))
+	m.tiles.CountsInto(out)
+	return out
 }
 
 // CountsInto copies all coverage counts into dst, growing it only when
@@ -190,29 +141,20 @@ func (m *Map) CountsInto(dst []int) []int {
 		dst = make([]int, len(m.pts))
 	}
 	dst = dst[:len(m.pts)]
-	if m.tiles != nil {
-		m.tiles.CountsInto(dst)
-		return dst
-	}
-	copy(dst, m.counts)
+	m.tiles.CountsInto(dst)
 	return dst
 }
 
 // Deficit returns max(k - k_p, 0) for sample point i.
 func (m *Map) Deficit(i int) int {
-	if d := m.k - m.cnt(i); d > 0 {
+	if d := m.k - m.tiles.Count(i); d > 0 {
 		return d
 	}
 	return 0
 }
 
 // NumDeficient returns the number of sample points with k_p < k.
-func (m *Map) NumDeficient() int {
-	if m.tiles != nil {
-		return m.tiles.Deficient()
-	}
-	return m.deficient
-}
+func (m *Map) NumDeficient() int { return m.tiles.Deficient() }
 
 // FullyCovered reports whether every sample point is k-covered.
 func (m *Map) FullyCovered() bool { return m.NumDeficient() == 0 }
@@ -294,18 +236,8 @@ func (m *Map) AddSensorRadius(id int, p geom.Point, rs float64) {
 	if rs > m.maxRs {
 		m.maxRs = rs
 	}
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-			m.tiles.Inc(i)
-			return true
-		})
-		return
-	}
 	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-		m.counts[i]++
-		if m.counts[i] == m.k {
-			m.deficient--
-		}
+		m.tiles.Inc(i)
 		return true
 	})
 }
@@ -328,17 +260,8 @@ func (m *Map) AddSensorAtPoint(id, ptIdx int) {
 	m.sensors[id] = p
 	m.sensorIdx.Insert(id, p)
 	m.insertSortedID(id)
-	if m.tiles != nil {
-		for _, j := range nb.At(ptIdx) {
-			m.tiles.Inc(int(j))
-		}
-		return
-	}
 	for _, j := range nb.At(ptIdx) {
-		m.counts[j]++
-		if m.counts[j] == m.k {
-			m.deficient--
-		}
+		m.tiles.Inc(int(j))
 	}
 }
 
@@ -371,18 +294,8 @@ func (m *Map) RemoveSensor(id int) bool {
 	delete(m.sensorRs, id)
 	m.sensorIdx.Remove(id)
 	m.removeSortedID(id)
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-			m.tiles.Dec(i)
-			return true
-		})
-		return true
-	}
 	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-		if m.counts[i] == m.k {
-			m.deficient++
-		}
-		m.counts[i]--
+		m.tiles.Dec(i)
 		return true
 	})
 	return true
@@ -396,19 +309,11 @@ func (m *Map) CoverageFrac(level int) float64 {
 		return 1
 	}
 	n := 0
-	if m.tiles != nil {
-		m.tiles.ForEachCount(func(_, c int) {
-			if c >= level {
-				n++
-			}
-		})
-	} else {
-		for _, c := range m.counts {
-			if c >= level {
-				n++
-			}
+	m.tiles.ForEachCount(func(_, c int) {
+		if c >= level {
+			n++
 		}
-	}
+	})
 	return float64(n) / float64(len(m.pts))
 }
 
@@ -506,17 +411,8 @@ func (m *Map) Benefit(c geom.Point) int {
 // radius differs from the map default (heterogeneous deployments, §2).
 func (m *Map) BenefitRadius(c geom.Point, rs float64) int {
 	b := 0
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
-			if d := m.k - m.tiles.Count(i); d > 0 {
-				b += d
-			}
-			return true
-		})
-		return b
-	}
 	m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
-		if d := m.k - m.counts[i]; d > 0 {
+		if d := m.k - m.tiles.Count(i); d > 0 {
 			b += d
 		}
 		return true
@@ -552,23 +448,15 @@ func (m *Map) BenefitWithRadius(c geom.Point, rs float64, perceived func(i int) 
 // UncoveredPoints returns the indices of all sample points with k_p < k,
 // sorted ascending.
 func (m *Map) UncoveredPoints() []int {
+	// Tile-major scan (one page fault per tile), then sort back into
+	// ascending point order.
 	var out []int
-	if m.tiles != nil {
-		// Tile-major scan (one page fault per tile), then sort to
-		// restore the ascending order the flat path produces.
-		m.tiles.ForEachCount(func(i, c int) {
-			if c < m.k {
-				out = append(out, i)
-			}
-		})
-		sort.Ints(out)
-		return out
-	}
-	for i, c := range m.counts {
+	m.tiles.ForEachCount(func(i, c int) {
 		if c < m.k {
 			out = append(out, i)
 		}
-	}
+	})
+	sort.Ints(out)
 	return out
 }
 
@@ -590,7 +478,7 @@ func (m *Map) IsRedundant(id int) bool {
 		// Removing the sensor lowers this point's count by one. The node
 		// "contributes" if that would take a currently >=k point below k,
 		// or reduce an under-covered point further.
-		if m.cnt(i) <= m.k {
+		if m.tiles.Count(i) <= m.k {
 			redundant = false
 			return false
 		}
@@ -651,17 +539,13 @@ func (m *Map) Clone() *Map {
 		k:         m.k,
 		pts:       m.pts,
 		ptIdx:     m.ptIdx,
-		counts:    append([]int(nil), m.counts...),
-		deficient: m.deficient,
+		tiles:     m.tiles.Clone(),
 		sensors:   make(map[int]geom.Point, len(m.sensors)),
 		sensorIdx: m.sensorIdx.Clone(),
 		sortedIDs: append([]int(nil), m.sortedIDs...),
 		sensorRs:  make(map[int]float64, len(m.sensorRs)),
 		maxRs:     m.maxRs,
 		nbShared:  m.nbShared,
-	}
-	if m.tiles != nil {
-		c.tiles = m.tiles.Clone()
 	}
 	for id, p := range m.sensors {
 		c.sensors[id] = p
@@ -675,25 +559,12 @@ func (m *Map) Clone() *Map {
 // CoverageHistogram returns counts[j] = number of sample points covered by
 // exactly j sensors, for j in [0, max].
 func (m *Map) CoverageHistogram() []int {
-	if m.tiles != nil {
-		hist := []int{0}
-		m.tiles.ForEachCount(func(_, c int) {
-			for c >= len(hist) {
-				hist = append(hist, 0)
-			}
-			hist[c]++
-		})
-		return hist
-	}
-	maxC := 0
-	for _, c := range m.counts {
-		if c > maxC {
-			maxC = c
+	hist := []int{0}
+	m.tiles.ForEachCount(func(_, c int) {
+		for c >= len(hist) {
+			hist = append(hist, 0)
 		}
-	}
-	hist := make([]int, maxC+1)
-	for _, c := range m.counts {
 		hist[c]++
-	}
+	})
 	return hist
 }

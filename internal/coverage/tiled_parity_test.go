@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"decor/internal/geom"
@@ -9,82 +10,263 @@ import (
 	"decor/internal/rng"
 )
 
-// tiledPair builds the same field in flat and tiled mode. TilePoints is
-// kept tiny so even a 400-point field spans many tiles and sensing
-// disks routinely cross tile boundaries.
-func tiledPair(t *testing.T, n, k int, opt TileOptions) (*Map, *Map) {
-	t.Helper()
+// refStore is the reference coverage state: plain []int counts with a
+// running deficiency total, updated by brute-force ball membership (the
+// index's d² <= r² rule). Nothing in it is paged, saturated or
+// summarized per tile, which makes it the differential oracle for every
+// count-derived quantity the map exposes.
+type refStore struct {
+	pts       []geom.Point
+	k         int
+	counts    []int
+	deficient int
+	sensors   map[int]refSensor
+}
+
+type refSensor struct {
+	p  geom.Point
+	rs float64
+}
+
+func newRefStore(pts []geom.Point, k int) *refStore {
+	return &refStore{pts: pts, k: k, counts: make([]int, len(pts)), deficient: len(pts), sensors: map[int]refSensor{}}
+}
+
+func (s *refStore) add(id int, p geom.Point, rs float64) {
+	s.sensors[id] = refSensor{p, rs}
+	for i, q := range s.pts {
+		if q.Dist2(p) <= rs*rs {
+			s.counts[i]++
+			if s.counts[i] == s.k {
+				s.deficient--
+			}
+		}
+	}
+}
+
+func (s *refStore) remove(id int) {
+	sn := s.sensors[id]
+	delete(s.sensors, id)
+	for i, q := range s.pts {
+		if q.Dist2(sn.p) <= sn.rs*sn.rs {
+			if s.counts[i] == s.k {
+				s.deficient++
+			}
+			s.counts[i]--
+		}
+	}
+}
+
+func (s *refStore) setK(k int) {
+	s.k = k
+	s.deficient = 0
+	for _, c := range s.counts {
+		if c < k {
+			s.deficient++
+		}
+	}
+}
+
+func (s *refStore) clone() *refStore {
+	c := &refStore{pts: s.pts, k: s.k, counts: append([]int(nil), s.counts...), deficient: s.deficient, sensors: map[int]refSensor{}}
+	for id, sn := range s.sensors {
+		c.sensors[id] = sn
+	}
+	return c
+}
+
+func (s *refStore) coverageFrac(level int) float64 {
+	if len(s.pts) == 0 {
+		return 1
+	}
+	n := 0
+	for _, c := range s.counts {
+		if c >= level {
+			n++
+		}
+	}
+	return float64(n) / float64(len(s.pts))
+}
+
+func (s *refStore) uncovered() []int {
+	var out []int
+	for i, c := range s.counts {
+		if c < s.k {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (s *refStore) histogram() []int {
+	maxC := 0
+	for _, c := range s.counts {
+		if c > maxC {
+			maxC = c
+		}
+	}
+	hist := make([]int, maxC+1)
+	for _, c := range s.counts {
+		hist[c]++
+	}
+	return hist
+}
+
+// redundant is RedundantSensors over the reference counts: repeated
+// ascending-ID passes removing every sensor whose covered points all
+// stay above k, restored afterwards.
+func (s *refStore) redundant() []int {
+	ids := make([]int, 0, len(s.sensors))
+	for id := range s.sensors {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	saved := map[int]refSensor{}
+	var removed []int
+	for progress := true; progress; {
+		progress = false
+		for _, id := range ids {
+			sn, ok := s.sensors[id]
+			if !ok {
+				continue
+			}
+			red := true
+			for i, q := range s.pts {
+				if q.Dist2(sn.p) <= sn.rs*sn.rs && s.counts[i] <= s.k {
+					red = false
+					break
+				}
+			}
+			if red {
+				saved[id] = sn
+				s.remove(id)
+				removed = append(removed, id)
+				progress = true
+			}
+		}
+	}
+	for _, id := range removed {
+		s.add(id, saved[id].p, saved[id].rs)
+	}
+	sort.Ints(removed)
+	return removed
+}
+
+// refPair builds a tiled map and its reference store over the same
+// field. Tests keep TilePoints tiny so even a 400-point field spans many
+// tiles and sensing disks routinely cross tile boundaries.
+func refPair(n, k int, opt TileOptions) (*refStore, *Map) {
 	field := geom.Square(50)
 	pts := lowdisc.Halton{}.Points(n, field)
-	return New(field, pts, 4, k), NewTiled(field, pts, 4, k, opt)
+	return newRefStore(pts, k), NewTiled(field, pts, 4, k, opt)
 }
 
 // assertSameState compares every observable count-derived quantity of
-// the two storage modes.
-func assertSameState(t *testing.T, flat, tiled *Map) {
+// the map against the reference store.
+func assertSameState(t *testing.T, ref *refStore, m *Map) {
 	t.Helper()
-	if got, want := tiled.NumDeficient(), flat.NumDeficient(); got != want {
-		t.Fatalf("NumDeficient: tiled %d, flat %d", got, want)
+	if m.K() != ref.k {
+		t.Fatalf("K: map %d, reference %d", m.K(), ref.k)
 	}
-	if got, want := tiled.Counts(), flat.Counts(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Counts diverge: tiled %v, flat %v", got, want)
+	if got, want := m.NumDeficient(), ref.deficient; got != want {
+		t.Fatalf("NumDeficient: map %d, reference %d", got, want)
 	}
-	if got, want := tiled.CoverageFrac(flat.K()), flat.CoverageFrac(flat.K()); got != want {
-		t.Fatalf("CoverageFrac: tiled %v, flat %v", got, want)
+	if got, want := m.Counts(), ref.counts; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts diverge: map %v, reference %v", got, want)
 	}
-	if got, want := tiled.UncoveredPoints(), flat.UncoveredPoints(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("UncoveredPoints: tiled %v, flat %v", got, want)
+	for i, want := range ref.counts {
+		if got := m.Count(i); got != want {
+			t.Fatalf("Count(%d): map %d, reference %d", i, got, want)
+		}
 	}
-	if got, want := tiled.CoverageHistogram(), flat.CoverageHistogram(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("CoverageHistogram: tiled %v, flat %v", got, want)
+	if got, want := m.CoverageFrac(ref.k), ref.coverageFrac(ref.k); got != want {
+		t.Fatalf("CoverageFrac: map %v, reference %v", got, want)
+	}
+	if got, want := m.UncoveredPoints(), ref.uncovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("UncoveredPoints: map %v, reference %v", got, want)
+	}
+	if got, want := m.CoverageHistogram(), ref.histogram(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CoverageHistogram: map %v, reference %v", got, want)
 	}
 }
 
-// TestTiledParityRandomOps drives both storage modes through an
-// identical randomized add/remove/SetK sequence and checks every
-// observable after each step.
+// randomOps drives the map and the reference through an identical
+// randomized add/remove/SetK sequence, checking every observable every
+// 17 steps. Sensors land within spread of center with radii in
+// [rsMin, rsMin+4); SetK draws from ks.
+func randomOps(t *testing.T, ref *refStore, m *Map, seed uint64, steps int, center geom.Point, spread, rsMin float64, ks []int) {
+	t.Helper()
+	r := rng.New(seed)
+	live := []int{}
+	next := 0
+	for step := 0; step < steps; step++ {
+		switch {
+		case len(live) > 0 && r.Bool(0.3):
+			i := r.Intn(len(live))
+			id := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if !m.RemoveSensor(id) {
+				t.Fatalf("remove %d failed", id)
+			}
+			ref.remove(id)
+		case r.Bool(0.1):
+			k := ks[r.Intn(len(ks))]
+			m.SetK(k)
+			ref.setK(k)
+		default:
+			p := geom.Point{X: center.X + spread*(2*r.Float64()-1), Y: center.Y + spread*(2*r.Float64()-1)}
+			rs := rsMin + 4*r.Float64()
+			m.AddSensorRadius(next, p, rs)
+			ref.add(next, p, rs)
+			live = append(live, next)
+			next++
+		}
+		if step%17 == 0 {
+			assertSameState(t, ref, m)
+		}
+	}
+	assertSameState(t, ref, m)
+}
+
+// TestTiledParityRandomOps checks the tiled store against the reference
+// through a randomized add/remove/SetK workload, under the default
+// layout, tiny tiles, and resident-page budgets.
 func TestTiledParityRandomOps(t *testing.T) {
 	for _, opt := range []TileOptions{
+		{},
 		{TilePoints: 16},
 		{TilePoints: 16, MaxResidentTiles: 2},
 		{TilePoints: 64, MaxResidentTiles: 1},
 	} {
-		flat, tiled := tiledPair(t, 400, 2, opt)
-		r := rng.New(7)
-		live := []int{}
-		next := 0
-		for step := 0; step < 200; step++ {
-			switch {
-			case len(live) > 0 && r.Bool(0.3):
-				i := r.Intn(len(live))
-				id := live[i]
-				live = append(live[:i], live[i+1:]...)
-				if !flat.RemoveSensor(id) || !tiled.RemoveSensor(id) {
-					t.Fatalf("remove %d failed", id)
-				}
-			case r.Bool(0.1):
-				k := 1 + r.Intn(4)
-				flat.SetK(k)
-				tiled.SetK(k)
-			default:
-				p := r.PointInRect(flat.Field())
-				rs := 2 + 4*r.Float64()
-				flat.AddSensorRadius(next, p, rs)
-				tiled.AddSensorRadius(next, p, rs)
-				live = append(live, next)
-				next++
-			}
-			if step%17 == 0 {
-				assertSameState(t, flat, tiled)
-			}
+		ref, m := refPair(400, 2, opt)
+		randomOps(t, ref, m, 7, 200, geom.Point{X: 25, Y: 25}, 25, 2, []int{1, 2, 3, 4})
+		if got, want := m.RedundantSensors(), ref.redundant(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RedundantSensors: map %v, reference %v", got, want)
 		}
-		assertSameState(t, flat, tiled)
-		if got, want := tiled.RedundantSensors(), flat.RedundantSensors(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RedundantSensors: tiled %v, flat %v", got, want)
+		assertSameState(t, ref, m) // RedundantSensors must restore state
+		if max := opt.MaxResidentTiles; max > 0 && m.Tiles().Resident() > max {
+			t.Fatalf("resident tiles %d exceed limit %d", m.Tiles().Resident(), max)
 		}
-		assertSameState(t, flat, tiled) // RedundantSensors must restore state
-		if max := opt.MaxResidentTiles; max > 0 && tiled.Tiles().Resident() > max {
-			t.Fatalf("resident tiles %d exceed limit %d", tiled.Tiles().Resident(), max)
+	}
+}
+
+// TestTiledLargeK: requirements around and past the uint8 page range
+// stay exact — deficiency transitions across the saturation point on
+// Inc and Dec, and SetK resolving saturated entries (resident and
+// evicted) through the overflow sidecar.
+func TestTiledLargeK(t *testing.T) {
+	for _, k := range []int{254, 255, 256, 300} {
+		for _, opt := range []TileOptions{
+			{TilePoints: 8},
+			{TilePoints: 8, MaxResidentTiles: 1},
+		} {
+			field := geom.Square(10)
+			pts := lowdisc.Halton{}.Points(60, field)
+			ref, m := newRefStore(pts, k), NewTiled(field, pts, 4, k, opt)
+			// Adds outpace removals by ~1/3 per step over a 4-unit
+			// spread with radii >= 4, so counts climb from 0 to ~330 and
+			// removals and SetK keep walking them back across k.
+			randomOps(t, ref, m, uint64(k), 1000, geom.Point{X: 5, Y: 5}, 2, 4, []int{254, 255, 256, 300})
 		}
 	}
 }
@@ -95,24 +277,24 @@ func TestTiledParityRandomOps(t *testing.T) {
 func TestTiledOverflowExact(t *testing.T) {
 	field := geom.Square(10)
 	pts := lowdisc.Halton{}.Points(50, field)
-	flat := New(field, pts, 4, 1)
+	ref := newRefStore(pts, 1)
 	tiled := NewTiled(field, pts, 4, 1, TileOptions{TilePoints: 8})
 	center := geom.Point{X: 5, Y: 5}
 	for id := 0; id < 300; id++ {
-		flat.AddSensor(id, center)
+		ref.add(id, center, 4)
 		tiled.AddSensor(id, center)
 	}
-	assertSameState(t, flat, tiled)
+	assertSameState(t, ref, tiled)
 	for id := 0; id < 300; id += 2 {
-		flat.RemoveSensor(id)
+		ref.remove(id)
 		tiled.RemoveSensor(id)
 	}
-	assertSameState(t, flat, tiled)
-	for id := 0; id < 300; id++ {
-		flat.RemoveSensor(id)
+	assertSameState(t, ref, tiled)
+	for id := 1; id < 300; id += 2 {
+		ref.remove(id)
 		tiled.RemoveSensor(id)
 	}
-	assertSameState(t, flat, tiled)
+	assertSameState(t, ref, tiled)
 	if tiled.NumDeficient() != tiled.NumPoints() {
 		t.Fatalf("expected all points deficient after removing everything")
 	}
@@ -121,11 +303,11 @@ func TestTiledOverflowExact(t *testing.T) {
 // TestTiledEvictionRoundTrip forces page eviction with a 1-page budget
 // and verifies counts survive the backing round-trip.
 func TestTiledEvictionRoundTrip(t *testing.T) {
-	flat, tiled := tiledPair(t, 300, 1, TileOptions{TilePoints: 8, MaxResidentTiles: 1})
+	ref, tiled := refPair(300, 1, TileOptions{TilePoints: 8, MaxResidentTiles: 1})
 	r := rng.New(3)
 	for id := 0; id < 40; id++ {
-		p := r.PointInRect(flat.Field())
-		flat.AddSensor(id, p)
+		p := r.PointInRect(tiled.Field())
+		ref.add(id, p, 4)
 		tiled.AddSensor(id, p)
 	}
 	ts := tiled.Tiles()
@@ -135,37 +317,37 @@ func TestTiledEvictionRoundTrip(t *testing.T) {
 	// Per-point reads in index order deliberately hop between tiles,
 	// exercising fault/evict on nearly every access.
 	for i := 0; i < tiled.NumPoints(); i++ {
-		if got, want := tiled.Count(i), flat.Count(i); got != want {
-			t.Fatalf("point %d: tiled count %d, flat %d", i, got, want)
+		if got, want := tiled.Count(i), ref.counts[i]; got != want {
+			t.Fatalf("point %d: tiled count %d, reference %d", i, got, want)
 		}
 	}
-	assertSameState(t, flat, tiled)
+	assertSameState(t, ref, tiled)
 }
 
 // TestTiledCloneIndependent checks Clone copies tiled state deeply
 // enough that the original and the clone evolve independently, even
 // when some source pages are evicted at clone time.
 func TestTiledCloneIndependent(t *testing.T) {
-	flat, tiled := tiledPair(t, 300, 2, TileOptions{TilePoints: 8, MaxResidentTiles: 2})
+	ref, tiled := refPair(300, 2, TileOptions{TilePoints: 8, MaxResidentTiles: 2})
 	r := rng.New(11)
 	for id := 0; id < 30; id++ {
-		p := r.PointInRect(flat.Field())
-		flat.AddSensor(id, p)
+		p := r.PointInRect(tiled.Field())
+		ref.add(id, p, 4)
 		tiled.AddSensor(id, p)
 	}
-	flatC, tiledC := flat.Clone(), tiled.Clone()
-	assertSameState(t, flatC, tiledC)
+	refC, tiledC := ref.clone(), tiled.Clone()
+	assertSameState(t, refC, tiledC)
 	// Diverge the clones; originals must not move.
 	p := geom.Point{X: 25, Y: 25}
-	flatC.AddSensor(1000, p)
+	refC.add(1000, p, 4)
 	tiledC.AddSensor(1000, p)
-	assertSameState(t, flatC, tiledC)
-	assertSameState(t, flat, tiled)
+	assertSameState(t, refC, tiledC)
+	assertSameState(t, ref, tiled)
 	// And the other direction.
-	flat.RemoveSensor(0)
+	ref.remove(0)
 	tiled.RemoveSensor(0)
-	assertSameState(t, flat, tiled)
-	assertSameState(t, flatC, tiledC)
+	assertSameState(t, ref, tiled)
+	assertSameState(t, refC, tiledC)
 }
 
 // TestTiledZeroTilesStayCold verifies reading counts of an untouched
@@ -186,26 +368,6 @@ func TestTiledZeroTilesStayCold(t *testing.T) {
 	tiled.AddSensor(0, geom.Point{X: 50, Y: 50})
 	if got, all := tiled.Tiles().Resident(), tiled.Tiles().NumTiles(); got == 0 || got >= all {
 		t.Fatalf("one sensor materialized %d of %d pages", got, all)
-	}
-}
-
-// TestTiledKValidation: tiled storage requires k <= 255 at construction
-// and through SetK.
-func TestTiledKValidation(t *testing.T) {
-	field := geom.Square(10)
-	pts := lowdisc.Halton{}.Points(20, field)
-	for _, bad := range []func(){
-		func() { NewTiled(field, pts, 4, 256, TileOptions{}) },
-		func() { NewTiled(field, pts, 4, 1, TileOptions{}).SetK(300) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for k > 255 in tiled mode")
-				}
-			}()
-			bad()
-		}()
 	}
 }
 

@@ -1,10 +1,10 @@
-// Tiled coverage-count storage for million-point fields (DESIGN.md §13).
+// Tiled coverage-count storage, the backing of every coverage.Map
+// (DESIGN.md §13).
 //
-// The flat coverage.Map keeps one machine int per sample point. At paper
-// scale (~10^3 points) that is irrelevant; at 10^6 points it is 8 MB of
-// sparsely touched ints that the placement hot loop streams through with
-// poor locality, and it ties the whole field to resident memory. The
-// TileStore replaces it with cache-dense uint8 count tiles:
+// A flat []int of counts is 8 MB of sparsely touched ints at 10^6
+// points, streamed by the placement hot loop with poor locality and tied
+// to resident memory. The TileStore keeps cache-dense uint8 count tiles
+// instead:
 //
 //   - sample points are bucketed into square tiles sized for a target
 //     point count (default 64×64 = 4096 points per tile);
@@ -138,9 +138,6 @@ type TileStore struct {
 
 // newTileStore builds the store for pts over bounds with requirement k.
 func newTileStore(bounds geom.Rect, pts []geom.Point, k int, opt TileOptions) *TileStore {
-	if k > 255 {
-		panic("coverage: tiled storage requires k <= 255")
-	}
 	target := opt.TilePoints
 	if target <= 0 {
 		target = DefaultTilePoints
@@ -384,19 +381,21 @@ func (s *TileStore) Dec(i int) int {
 	t := int(s.tileOf[i])
 	pg := s.page(t)
 	l := s.local[i]
+	var c int
 	if ov := s.overflow[int32(i)]; ov > 0 {
 		if ov == 1 {
 			delete(s.overflow, int32(i))
 		} else {
 			s.overflow[int32(i)] = ov - 1
 		}
-		return 255 + ov - 1 // ≥ 255 ≥ k: no deficiency transition
+		c = 255 + ov - 1
+	} else {
+		if pg[l] == 0 {
+			panic("coverage: tile count underflow")
+		}
+		pg[l]--
+		c = int(pg[l])
 	}
-	if pg[l] == 0 {
-		panic("coverage: tile count underflow")
-	}
-	pg[l]--
-	c := int(pg[l])
 	if c == s.k-1 {
 		s.def[t]++
 		s.defT++
@@ -440,11 +439,9 @@ func (s *TileStore) CountsInto(dst []int) {
 
 // SetK retunes the deficiency summaries for a new requirement. Evicted
 // pages are inspected through a scratch buffer without disturbing
-// residency.
+// residency; saturated entries resolve through the overflow sidecar, so
+// the summaries are exact for every k.
 func (s *TileStore) SetK(k int) {
-	if k > 255 {
-		panic("coverage: tiled storage requires k <= 255")
-	}
 	s.k = k
 	s.defT = 0
 	var scratch []uint8
@@ -474,8 +471,13 @@ func (s *TileStore) SetK(k int) {
 			s.backing.Load(t, pg)
 		}
 		d := int32(0)
-		for _, c := range pg {
-			if int(c) < k { // saturated counts (255) are never < k <= 255
+		pts := s.TilePoints(t)
+		for l, c := range pg {
+			n := int(c)
+			if n == 255 {
+				n += s.overflow[pts[l]]
+			}
+			if n < k {
 				d++
 			}
 		}

@@ -1,47 +1,39 @@
 package experiment
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestTiledFigureTablesByteIdentical is the top-level differential
-// guarantee of the tiled engines (DESIGN.md §13): a full figure run
-// through tiled storage + tile-parallel placement renders the exact
-// same bytes as the seed path. Fig8 covers all six methods across the
-// k sweep (grid and centralized through their tiled engines, Voronoi
-// and random through the compatibility layer).
+// guarantee of the tile engines (DESIGN.md §13): within-placement worker
+// counts and a resident-page budget change only the execution, never
+// the rendered bytes. Fig8 covers all six methods across the k sweep;
+// fig10 the distributed schemes' message accounting.
 func TestTiledFigureTablesByteIdentical(t *testing.T) {
-	flat := Quick()
-	tiled := Quick()
-	tiled.Tiled = true
-	tiled.PlaceWorkers = 4
 	for _, id := range []string{"fig8", "fig10"} {
-		ff, err := ByID(id, flat)
+		ref, err := ByID(id, Quick())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft, err := ByID(id, tiled)
-		if err != nil {
-			t.Fatal(err)
+		variants := map[string]Config{}
+		for _, w := range []int{1, 4} {
+			c := Quick()
+			c.PlaceWorkers = w
+			variants[fmt.Sprintf("PlaceWorkers=%d", w)] = c
 		}
-		if ff.Table() != ft.Table() {
-			t.Fatalf("%s table diverges between flat and tiled:\n--- flat ---\n%s--- tiled ---\n%s",
-				id, ff.Table(), ft.Table())
+		bounded := Quick()
+		bounded.MaxResidentTiles = 2
+		variants["MaxResidentTiles=2"] = bounded
+		for name, cfg := range variants {
+			got, err := ByID(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Table() != got.Table() {
+				t.Fatalf("%s table diverges under %s:\n--- PlaceWorkers=0 ---\n%s--- %s ---\n%s",
+					id, name, ref.Table(), name, got.Table())
+			}
 		}
-	}
-	// A resident-page budget must not change results either, only
-	// memory behavior.
-	bounded := Quick()
-	bounded.Tiled = true
-	bounded.MaxResidentTiles = 2
-	ff, err := ByID("fig8", flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := ByID("fig8", bounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Table() != fb.Table() {
-		t.Fatalf("fig8 table diverges under MaxResidentTiles:\n--- flat ---\n%s--- bounded ---\n%s",
-			ff.Table(), fb.Table())
 	}
 }

@@ -44,10 +44,6 @@ type World struct {
 	// MessagesSent counts placement notifications (engine stats count
 	// everything; this isolates the DECOR protocol traffic).
 	MessagesSent int
-
-	// countsBuf is the reusable coverage-snapshot scratch for ground-truth
-	// surveys (coverage.Map.CountsInto), so they allocate nothing.
-	countsBuf []int
 }
 
 // NewWorld prepares an event-driven run over an existing coverage map.
@@ -280,21 +276,19 @@ func (l *CellLeader) bestDeficient() (int, bool) {
 
 // bestDeficientInCell surveys a (leaderless) cell against ground truth.
 func bestDeficientInCell(w *World, cell int) (int, bool) {
-	// One consistent snapshot per survey through the shared scratch
-	// buffer — no per-survey allocation.
-	w.countsBuf = w.M.CountsInto(w.countsBuf)
-	snap := w.countsBuf
+	// Nothing mutates the map during a survey, so live counts are a
+	// consistent snapshot.
 	bestIdx, best := -1, 0
 	for i := 0; i < w.M.NumPoints(); i++ {
 		p := w.M.Point(i)
-		if w.Part.CellIndex(p) != cell || snap[i] >= w.M.K() {
+		if w.Part.CellIndex(p) != cell || w.M.Count(i) >= w.M.K() {
 			continue
 		}
 		b := w.M.BenefitWith(p, func(j int) int {
 			if w.Part.CellIndex(w.M.Point(j)) != cell {
 				return -1
 			}
-			return snap[j]
+			return w.M.Count(j)
 		})
 		if b > best {
 			best, bestIdx = b, i

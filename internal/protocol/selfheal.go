@@ -39,9 +39,6 @@ type MonitoredField struct {
 	nextID   int
 	// Repairs records every replacement sensor with its placement time.
 	Repairs []RepairRecord
-	// countsBuf is the reusable coverage-snapshot scratch for repair
-	// surveys (coverage.Map.CountsInto), so heal timers allocate nothing.
-	countsBuf []int
 }
 
 // RepairRecord is one autonomous replacement.
@@ -229,13 +226,11 @@ func (c *CellMonitor) OnTimer(ctx *sim.Context, tag string) {
 
 func (c *CellMonitor) bestDeficient() (int, bool) {
 	f := c.field
-	// One consistent snapshot per survey through the shared scratch
-	// buffer — no per-survey allocation.
-	f.countsBuf = f.M.CountsInto(f.countsBuf)
-	snap := f.countsBuf
+	// Nothing mutates the map during a survey, so live counts are a
+	// consistent snapshot.
 	bestIdx, best := -1, 0
 	for _, i := range c.pts {
-		if snap[i] >= f.M.K() {
+		if f.M.Count(i) >= f.M.K() {
 			continue
 		}
 		if b := f.M.Benefit(f.M.Point(i)); b > best {

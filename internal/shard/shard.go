@@ -33,6 +33,12 @@ func Workers(requested, n int) int {
 // single-threaded callers keep deterministic stack traces and zero
 // scheduling overhead.
 func ForEach(n, workers int, job func(i int)) {
+	if Workers(workers, n) <= 1 {
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		return
+	}
 	ForEachW(n, workers, func(_, i int) { job(i) })
 }
 

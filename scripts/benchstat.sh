@@ -14,8 +14,8 @@
 #    (BenchmarkBenefitRadius micro-benches + the 1e5-point
 #    BenchmarkPlace deployments; the env-gated 1e6 sizes stay skipped
 #    here — `make bench-json` refreshes those), compare against
-#    BENCH_core.json, and FAIL if a 1e5 tiled placement variant
-#    regressed beyond BENCH_CORE_GATE_PCT percent. Full deployments are
+#    BENCH_core.json, and FAIL if a 1e5 placement variant regressed
+#    beyond BENCH_CORE_GATE_PCT percent. Full deployments are
 #    the gate (hundreds of ms per op, stable at -benchtime=1x) rather
 #    than the microsecond-scale micro-benches, which flap on shared
 #    hosts.
@@ -26,12 +26,12 @@
 #    (pooled heartbeat boxes, flattened ledgers, reused scratch), so a
 #    structural regression — a new per-round map, an unpooled payload
 #    box — shows up as a jump here long before the wide ns/op gates
-#    (noisy single-CPU host) could catch anything.
+#    (noisy shared 2-CPU host) could catch anything.
 #
 # 4. Field sessions: run the session delta benches fresh, compare
 #    against BENCH_session.json, gate BenchmarkSessionDelta's ns/op
 #    regression (wide band: single-iteration millisecond ops on a
-#    noisy single-CPU host), and HARD-gate the structural acceptance
+#    noisy shared 2-CPU host), and HARD-gate the structural acceptance
 #    criterion — the incremental delta path must stay >= 10x fewer
 #    allocs/op than a stateless full replan. Allocs are deterministic,
 #    so that gate holds even when timings flap.
@@ -48,7 +48,7 @@
 #    encode must also stay >= 10x fewer allocs/op than reflection
 #    json.Marshal of the same delta (0 fresh allocs passes any base).
 #    ns/op on the hit path is gated wide (BENCH_SERVE_GATE_PCT, default
-#    60) per the noisy single-CPU host; allocs are the tight signal.
+#    60) per the noisy shared 2-CPU host; allocs are the tight signal.
 #
 # Tunables: BENCH_BASELINE (default BENCH_sim.json), BENCH_CORE_BASELINE
 # (default BENCH_core.json), BENCH_COUNT (samples, default 1),
@@ -128,8 +128,8 @@ END {
 }' "$BASELINE" "$FRESH"
 
 # Core placement section: micro-benches are reported, the 1e5-point
-# deployments are gated (flat seed path AND the tiled engines, so
-# neither side of the compatibility layer regresses silently). Each
+# deployments are gated (the default inline engine, the 4-worker
+# engine, and the tile-memoized centralized greedy). Each
 # bench is one full deployment per sample, so take BENCH_CORE_COUNT
 # samples (default 3, ~1 s each) and gate on the mean — a single draw
 # lands anywhere in a ±30% band on shared hosts. The baseline also
@@ -140,7 +140,7 @@ $GO test -run '^$' -bench 'BenchmarkBenefitRadius|BenchmarkPlace' \
 	-benchmem -benchtime=1x -count="$CORE_COUNT" ./internal/core/ |
 	$GO run ./cmd/decor-benchjson -o "$CORE_FRESH"
 $GO run ./cmd/decor-benchjson -diff \
-	-gate 'BenchmarkPlace/pts=1e5/(grid-flat|grid-seq|grid-par4|centralized-tiled)$' \
+	-gate 'BenchmarkPlace/pts=1e5/(grid-seq|grid-par4|centralized-tiled)$' \
 	-max-regress "$CORE_GATE_PCT" \
 	"$CORE_BASELINE" "$CORE_FRESH"
 
