@@ -88,10 +88,7 @@ func newGridState(m *coverage.Map, cellSize float64, res *Result) *gridState {
 			st.cellOf[i] = c
 		}
 	}
-	st.nbrs = make([][]int, st.part.NumCells())
-	for c := range st.nbrs {
-		st.nbrs[c] = st.part.Neighbors(c)
-	}
+	st.nbrs = st.part.NeighborLists()
 	res.Cells = st.part.NumCells()
 	for _, id := range m.SensorIDs() {
 		p, _ := m.SensorPos(id)

@@ -92,7 +92,7 @@ func (s *placeScenario) tiledProto(opt coverage.TileOptions) *coverage.Map {
 //   - grid-par4-resident: grid-par4 under a resident-page budget of
 //     half the tiles, proving field size is not bound by resident
 //     count memory.
-//   - centralized-tiled: the tile-memoized global greedy.
+//   - centralized-tiled: the global greedy over its tournament tree.
 func BenchmarkPlace(b *testing.B) {
 	for _, n := range []int{100_000, 1_000_000} {
 		name := map[int]string{100_000: "pts=1e5", 1_000_000: "pts=1e6"}[n]

@@ -10,11 +10,11 @@
 //     whole tiles, so the update is race-free and the final benefit
 //     state is independent of the worker count.
 //
-//   - Centralized.deployTiled is the global greedy: its argmax keeps a
-//     per-tile best-candidate memo, skips fully-k-covered tiles in O(1)
-//     via the tile deficiency summary, and re-scans only tiles whose
-//     memo a placement invalidated (those overlapping the 2·rs disk
-//     around it).
+//   - Centralized.deployTiled is the global greedy: its argmax is the
+//     root of a tournament tree with one leaf per initially deficient
+//     candidate (fully-k-covered tiles contribute none). A placement
+//     repairs only the ~40 leaves within 2·rs of it and their root
+//     paths, O(log D) each for D initially deficient candidates.
 //
 // Determinism argument (the conflict-resolution round): decisions are
 // computed from an immutable snapshot into per-cell slots and compacted
@@ -374,15 +374,47 @@ func (e *tiledGrid) lowestDeficient() int {
 	return best
 }
 
-// memoStale marks a centralized per-tile argmax memo that needs a rescan.
-const memoStale = -2
+// leafKey packs a candidate's Eq. 1 benefit and point index into one
+// tournament key: benefit in the high word, the complemented index in
+// the low word, so a plain integer max picks the highest benefit and,
+// among equal benefits, the lowest index. Covered leaves hold -1.
+func leafKey(benefit, i int32) int64 {
+	return int64(benefit)<<32 | int64(^uint32(i))
+}
 
-// deployTiled is the tile-aware centralized greedy: per-tile argmax
-// memos re-scanned only when a placement's 2·rs disk invalidates them,
-// fully covered tiles skipped in O(1) via the deficiency summary.
-// Placements are byte-identical to the rescan oracle (the parity tests
-// assert it); Workers parallelizes only the one-time benefit build —
-// the steady-state loop is already sub-linear thanks to the memos.
+// keyPoint is the point index packed into a leaf key.
+func keyPoint(key int64) int { return int(^uint32(key)) }
+
+// tourney is a max tournament tree over d leaf keys: leaves at [d, 2d),
+// node i holds max(node 2i, node 2i+1), and node 1 is the root. Every
+// index in [2, 2d) has exactly one parent, so the root is the max of
+// all leaves for any d ≥ 1, a power of two or not; leaf order does not
+// matter because keys are unique.
+type tourney []int64
+
+// fix re-walks the path from node i to the root. It stops at the first
+// ancestor whose value does not change: that ancestor's parent was last
+// computed from the same value, so nothing above it moves.
+func (t tourney) fix(i int) {
+	for i > 1 {
+		i >>= 1
+		v := max(t[2*i], t[2*i+1])
+		if t[i] == v {
+			return
+		}
+		t[i] = v
+	}
+}
+
+// deployTiled is the centralized greedy over a tournament tree with one
+// leaf per initially deficient candidate, the only candidates that can
+// ever win (counts never shrink during a deploy). Leaves are tile-major
+// at offsets from the tile deficiency summaries, so the tile-parallel
+// build writes them in place; the root is the argmax. A placement
+// decrements the leaves of the deficient candidates whose deficit it
+// reduced, retires newly covered leaves to -1, and re-walks those leaves'
+// root paths. Placements are byte-identical to the rescan oracle (the
+// parity tests assert it); Workers parallelizes only the one-time build.
 func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 	ts := m.Tiles()
 	n := m.NumPoints()
@@ -390,21 +422,21 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 	nb := m.PointNeighborhoods(rs)
 	kk := int32(m.K())
 	nt := ts.NumTiles()
-	// One allocation backs the per-point snapshot and benefit and the
-	// per-tile argmax memo: tileBest[t] is the tile's best candidate (-1
-	// for none, memoStale until scanned) and tileBestV[t] its benefit.
-	buf := make([]int32, 2*n+2*nt)
-	snap, benefit := buf[:n], buf[n:2*n]
-	tileBest, tileBestV := buf[2*n:2*n+nt], buf[2*n+nt:]
-	for t := range tileBest {
-		tileBest[t] = memoStale
+	// One allocation backs the per-point snapshot and leaf slot and the
+	// per-tile leaf offsets; leaf[i] is meaningful only while snap[i] < k.
+	buf := make([]int32, 2*n+nt+1)
+	snap, leaf, off := buf[:n], buf[n:2*n], buf[2*n:]
+	for t := 0; t < nt; t++ {
+		off[t+1] = off[t] + int32(ts.DeficientInTile(t))
 	}
+	d := int(off[nt])
+	tree := make(tourney, 2*d)
 	ts.ForEachCount(func(i, cnt int) { snap[i] = int32(cnt) })
 	var cancelled atomic.Bool
 	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
 	shard.ForEach(nt, shardWorkers(c.Workers), func(t int) {
-		if ts.DeficientInTile(t) == 0 {
-			return // all candidates covered: their benefit is never read
+		if off[t] == off[t+1] {
+			return // all candidates covered: they get no leaf
 		}
 		if t&31 == 0 && opt.interrupted() {
 			cancelled.Store(true)
@@ -412,27 +444,39 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 		if cancelled.Load() {
 			return
 		}
+		l := off[t]
 		for _, ii := range ts.TilePoints(t) {
-			i := int(ii)
-			if snap[i] >= kk {
+			if snap[ii] >= kk {
 				continue
 			}
 			var b int32
-			for _, jj := range nb.At(i) {
-				if d := kk - snap[jj]; d > 0 {
-					b += d
+			for _, jj := range nb.At(int(ii)) {
+				if dd := kk - snap[jj]; dd > 0 {
+					b += dd
 				}
 			}
-			benefit[i] = b
+			leaf[ii] = l
+			tree[d+int(l)] = leafKey(b, ii)
+			l++
+		}
+		if l != off[t+1] {
+			panic("core: tile deficiency summary disagrees with its counts")
 		}
 	})
-	span.End()
 	if cancelled.Load() {
+		span.End()
 		res.Interrupted = true
 		return
 	}
+	for i := d - 1; i >= 1; i-- {
+		tree[i] = max(tree[2*i], tree[2*i+1])
+	}
+	span.End()
 
 	id := nextSensorID(m)
+	// Changed leaves of one placement, ~110 touches at rs = 4; the
+	// constant capacity keeps the list on the stack.
+	dirty := make([]int32, 0, 256)
 	for !m.FullyCovered() {
 		if len(res.Placed) >= opt.maxPlacements() {
 			res.Capped = true
@@ -442,36 +486,11 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 			res.Interrupted = true
 			return
 		}
-		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
-		bestIdx, bestV := -1, int32(0)
-		for t := 0; t < nt; t++ {
-			if ts.DeficientInTile(t) == 0 {
-				continue // O(1) skip; counts never shrink mid-run
-			}
-			if tileBest[t] == memoStale {
-				bi, bv := int32(-1), int32(0)
-				for _, ii := range ts.TilePoints(t) {
-					if snap[ii] >= kk {
-						continue
-					}
-					if b := benefit[ii]; b > bv {
-						bv, bi = b, ii
-					}
-				}
-				tileBest[t], tileBestV[t] = bi, bv
-			}
-			// Lexicographic (benefit, -index) max across tiles restores
-			// the sequential scan's lowest-global-index tie-break: tile
-			// order is spatial, not index order.
-			if bi := tileBest[t]; bi >= 0 {
-				if v := tileBestV[t]; v > bestV || (v == bestV && bestIdx >= 0 && int(bi) < bestIdx) {
-					bestV, bestIdx = v, int(bi)
-				}
-			}
-		}
-		scoreSpan.End()
-		if bestIdx < 0 {
-			return // unreachable: a deficient point always benefits itself
+		// A deficient point always benefits itself, so a live tree's
+		// root is deficient; anything else is a broken repair.
+		bestIdx := keyPoint(tree[1])
+		if tree[1] < 0 || snap[bestIdx] >= kk {
+			panic("core: centralized tournament root is not a deficient candidate")
 		}
 		p := m.Point(bestIdx)
 		if rs == m.Rs() {
@@ -479,18 +498,31 @@ func (c Centralized) deployTiled(m *coverage.Map, opt Options, res *Result) {
 		} else {
 			m.AddSensorRadius(id, p, rs)
 		}
+		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
+		dirty = dirty[:0]
 		for _, jj := range nb.At(bestIdx) {
-			j := int(jj)
-			if snap[j] < kk {
-				for _, ii := range nb.At(j) {
-					benefit[ii]--
+			if snap[jj] >= kk {
+				continue // no deficit left to reduce
+			}
+			// jj's deficit drops by one: so does the benefit of every
+			// still-deficient candidate whose disk holds it.
+			for _, ii := range nb.At(int(jj)) {
+				if snap[ii] < kk {
+					tree[d+int(leaf[ii])] -= 1 << 32
+					dirty = append(dirty, leaf[ii])
 				}
 			}
-			snap[j]++
+			if snap[jj]++; snap[jj] == kk {
+				tree[d+int(leaf[jj])] = -1
+				dirty = append(dirty, leaf[jj])
+			}
 		}
-		// Every touched snap/benefit entry lies within 2·rs of the
-		// placement; invalidate exactly the tiles that disk can reach.
-		ts.VisitTilesInDisk(p, 2*rs, func(t int) { tileBest[t] = memoStale })
+		// Re-walk after all leaf updates: a leaf touched several times,
+		// or paths that merge, then cost one walk to the merge point.
+		for _, l := range dirty {
+			tree.fix(d + int(l))
+		}
+		scoreSpan.End()
 		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
 		id++
 	}

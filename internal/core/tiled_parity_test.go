@@ -119,6 +119,98 @@ func TestTiledCentralizedParity(t *testing.T) {
 	}
 }
 
+// The tree engine's argmax is the root of a max over packed (benefit,
+// index) keys, so ties must still break to the lowest point index even
+// though leaves are tile-major. A unit lattice gives every interior
+// candidate the same initial benefit, and symmetric placements keep
+// re-creating ties all run long.
+func TestTiledCentralizedParityLatticeTies(t *testing.T) {
+	field := geom.Square(30)
+	var pts []geom.Point
+	for y := 0; y < 30; y++ {
+		for x := 0; x < 30; x++ {
+			pts = append(pts, geom.Pt(float64(x)+0.5, float64(y)+0.5))
+		}
+	}
+	for k := 1; k <= 2; k++ {
+		for _, tp := range []int{16, 4096} {
+			mRef := coverage.New(field, pts, 4, k)
+			mTiled := coverage.NewTiled(field, pts, 4, k, coverage.TileOptions{TilePoints: tp})
+			ref := centralizedRescan{}.Deploy(mRef, rng.New(1), Options{})
+			got := Centralized{Workers: 4}.Deploy(mTiled, rng.New(1), Options{})
+			assertSameResult(t, "lattice centralized", ref, got)
+		}
+	}
+}
+
+// sparseDeficitMaps builds the session-delta shape: a parity map
+// deployed to full k-coverage, then a seeded handful of its sensors
+// removed, so only a few scattered candidates are deficient. The
+// reference map uses the default layout, the engine map opt's.
+func sparseDeficitMaps(seed uint64, k int, opt coverage.TileOptions) (ref, tiled *coverage.Map) {
+	ref, tiled = parityMap(seed, k), tiledParityMap(seed, k, opt)
+	for _, m := range []*coverage.Map{ref, tiled} {
+		centralizedRescan{}.Deploy(m, rng.New(seed), Options{})
+		r := rng.New(seed + 100)
+		ids := m.SensorIDs()
+		for i := 0; i < 3; i++ {
+			m.RemoveSensor(ids[r.Intn(len(ids))])
+		}
+	}
+	return ref, tiled
+}
+
+func TestTiledCentralizedParitySparseDeficit(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		for seed := uint64(1); seed <= 4; seed++ {
+			opt := coverage.TileOptions{TilePoints: 16}
+			if seed%2 == 0 {
+				opt.MaxResidentTiles = 3
+			}
+			mRef, mTiled := sparseDeficitMaps(seed, k, opt)
+			if mRef.FullyCovered() {
+				t.Fatalf("seed %d k=%d: removals left no deficit", seed, k)
+			}
+			ref := centralizedRescan{}.Deploy(mRef, rng.New(seed), Options{})
+			got := Centralized{Workers: 4}.Deploy(mTiled, rng.New(seed), Options{})
+			assertSameResult(t, "sparse centralized", ref, got)
+			if max := opt.MaxResidentTiles; max > 0 && mTiled.Tiles().Resident() > max {
+				t.Fatalf("deploy left %d resident tiles, limit %d", mTiled.Tiles().Resident(), max)
+			}
+		}
+	}
+}
+
+// NewRs, placement caps, a residency budget and a pre-cancelled
+// context on the sparse shape: each must match the oracle's placements
+// and leave the same map behind.
+func TestTiledCentralizedParitySparseVariants(t *testing.T) {
+	for _, newRs := range []float64{2, 6} {
+		mRef, mTiled := sparseDeficitMaps(5, 2, coverage.TileOptions{TilePoints: 16, MaxResidentTiles: 2})
+		ref := centralizedRescan{Centralized{NewRs: newRs}}.Deploy(mRef, rng.New(5), Options{})
+		got := Centralized{NewRs: newRs, Workers: 4}.Deploy(mTiled, rng.New(5), Options{})
+		assertSameResult(t, "sparse centralized newRs", ref, got)
+	}
+	for _, capN := range []int{1, 2} {
+		mRef, mTiled := sparseDeficitMaps(6, 3, coverage.TileOptions{TilePoints: 16})
+		ref := centralizedRescan{}.Deploy(mRef, rng.New(6), Options{MaxPlacements: capN})
+		got := Centralized{}.Deploy(mTiled, rng.New(6), Options{MaxPlacements: capN})
+		assertSameResult(t, "sparse centralized cap", ref, got)
+		if rf, gf := mRef.CoverageFrac(3), mTiled.CoverageFrac(3); rf != gf {
+			t.Fatalf("capped coverage diverges: oracle %v, engine %v", rf, gf)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, mTiled := sparseDeficitMaps(7, 2, coverage.TileOptions{TilePoints: 16})
+	before := mTiled.NumSensors()
+	res := Centralized{Workers: 4}.Deploy(mTiled, rng.New(7), Options{Ctx: ctx})
+	if !res.Interrupted || len(res.Placed) != 0 || mTiled.NumSensors() != before {
+		t.Fatalf("expected interrupted empty run, got interrupted=%v placed=%d",
+			res.Interrupted, len(res.Placed))
+	}
+}
+
 // Voronoi reads counts through the Map API only; small tiles and a
 // resident-page budget must not change its placements.
 func TestTiledMapVoronoiParity(t *testing.T) {
@@ -175,8 +267,18 @@ func FuzzTileBoundaryConflict(f *testing.F) {
 		got := GridDECOR{CellSize: cell, Workers: workers}.Deploy(mTiled, rng.New(seed), Options{})
 		assertSameResult(t, "fuzz tiled grid", ref, got)
 
+		// The centralized half first removes a seeded subset of the
+		// initial sensors from both maps, so the tree starts from holes
+		// as well as from never-covered regions.
 		mRefC := parityMap(seed, k)
 		mTiledC := tiledParityMap(seed, k, opt)
+		r := rng.New(seed ^ 0x5eed)
+		for _, id := range mRefC.SensorIDs() {
+			if r.Intn(3) == 0 {
+				mRefC.RemoveSensor(id)
+				mTiledC.RemoveSensor(id)
+			}
+		}
 		refC := centralizedRescan{}.Deploy(mRefC, rng.New(seed), Options{})
 		gotC := Centralized{Workers: workers}.Deploy(mTiledC, rng.New(seed), Options{})
 		assertSameResult(t, "fuzz tiled centralized", refC, gotC)

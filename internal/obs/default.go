@@ -105,7 +105,7 @@ const (
 	ServeRequestSeconds         = "decor_serve_request_seconds" // queue wait + execution
 	CoreRoundSeconds            = "decor_core_round_seconds"
 	CoreBenefitEvalSeconds      = "decor_core_benefit_eval_seconds"
-	CoreCandidateScoringSeconds = "decor_core_candidate_scoring_seconds"
+	CoreCandidateScoringSeconds = "decor_core_candidate_scoring_seconds" // centralized per-placement tree repair
 	CoreCacheBuildSeconds       = "decor_core_benefit_cache_build_seconds"
 	ProtoLeaderElectionSeconds  = "decor_protocol_leader_election_seconds"
 	ProtoHeartbeatRoundSeconds  = "decor_protocol_heartbeat_round_seconds"

@@ -88,9 +88,28 @@ func (g *Grid) CellRect(idx int) geom.Rect {
 // Neighbors returns the indices of the up-to-8 cells adjacent to idx
 // (Moore neighborhood), in ascending order.
 func (g *Grid) Neighbors(idx int) []int {
+	return g.appendNeighbors(make([]int, 0, 8), idx)
+}
+
+// NeighborLists returns every cell's Neighbors list, indexed by cell.
+// The lists are views into one backing array, capped so that appending
+// to one never overwrites the next.
+func (g *Grid) NeighborLists() [][]int {
+	lists := make([][]int, g.NumCells())
+	back := make([]int, 0, 8*len(lists))
+	for c := range lists {
+		start := len(back)
+		back = g.appendNeighbors(back, c)
+		lists[c] = back[start:len(back):len(back)]
+	}
+	return lists
+}
+
+// appendNeighbors appends idx's Moore neighbors to dst in ascending
+// order.
+func (g *Grid) appendNeighbors(dst []int, idx int) []int {
 	cx := idx % g.cols
 	cy := idx / g.cols
-	out := make([]int, 0, 8)
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			if dx == 0 && dy == 0 {
@@ -100,19 +119,33 @@ func (g *Grid) Neighbors(idx int) []int {
 			if nx < 0 || nx >= g.cols || ny < 0 || ny >= g.rows {
 				continue
 			}
-			out = append(out, ny*g.cols+nx)
+			dst = append(dst, ny*g.cols+nx)
 		}
 	}
-	return out
+	return dst
 }
 
 // AssignPoints groups the sample points by containing cell, returning a
-// slice indexed by cell of ascending point indices.
+// slice indexed by cell of ascending point indices. It counts, takes
+// prefix sums and fills one backing array (CSR), so the lists are views
+// into it, each capped at its own end: the cost is three allocations
+// whatever the point count.
 func (g *Grid) AssignPoints(pts []geom.Point) [][]int {
 	cells := make([][]int, g.NumCells())
+	start := make([]int, len(cells)+1)
+	for _, p := range pts {
+		start[g.CellIndex(p)+1]++
+	}
+	for c := range cells {
+		start[c+1] += start[c]
+	}
+	back := make([]int, len(pts))
+	for c := range cells {
+		cells[c] = back[start[c]:start[c]:start[c+1]]
+	}
 	for i, p := range pts {
 		c := g.CellIndex(p)
-		cells[c] = append(cells[c], i)
+		cells[c] = append(cells[c], i) // within capacity: no reallocation
 	}
 	return cells
 }

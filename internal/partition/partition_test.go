@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"decor/internal/geom"
@@ -109,6 +111,32 @@ func TestAssignPoints(t *testing.T) {
 	}
 	if total != 2000 {
 		t.Errorf("assigned %d points, want 2000", total)
+	}
+	// Lists are ascending views into one array, capped at their own
+	// end so an append reallocates instead of overwriting the next.
+	for ci, idxs := range cells {
+		if !sort.IntsAreSorted(idxs) {
+			t.Fatalf("cell %d list not ascending: %v", ci, idxs)
+		}
+		if cap(idxs) != len(idxs) {
+			t.Fatalf("cell %d list has spare capacity %d", ci, cap(idxs)-len(idxs))
+		}
+	}
+}
+
+func TestNeighborLists(t *testing.T) {
+	g := NewGrid(geom.Square(100), 7) // 15x15, non-divisible
+	lists := g.NeighborLists()
+	if len(lists) != g.NumCells() {
+		t.Fatalf("%d lists for %d cells", len(lists), g.NumCells())
+	}
+	for c, l := range lists {
+		if want := g.Neighbors(c); !reflect.DeepEqual(l, want) {
+			t.Fatalf("cell %d: NeighborLists %v, Neighbors %v", c, l, want)
+		}
+		if cap(l) != len(l) {
+			t.Fatalf("cell %d list has spare capacity %d", c, cap(l)-len(l))
+		}
 	}
 }
 

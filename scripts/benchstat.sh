@@ -129,7 +129,7 @@ END {
 
 # Core placement section: micro-benches are reported, the 1e5-point
 # deployments are gated (the default inline engine, the 4-worker
-# engine, and the tile-memoized centralized greedy). Each
+# engine, and the tournament-tree centralized greedy). Each
 # bench is one full deployment per sample, so take BENCH_CORE_COUNT
 # samples (default 3, ~1 s each) and gate on the mean — a single draw
 # lands anywhere in a ±30% band on shared hosts. The baseline also
